@@ -1,12 +1,11 @@
 """Performance-regression benchmark: ``python -m repro.bench regression``.
 
 Runs one fixed-seed insert / range-query / group-by / repeated-query
-workload over the TPC-D cube twice — once with the acceleration layer on
-(hot-path caches plus the versioned query-result cache, the default) and
-once with it off (legacy parent-walking ancestors, uncached adaptation,
-separate overlaps+contains, every query recomputed) — and records
-per-phase wall times, ops/sec and the deterministic tracker counters
-(node accesses, page I/Os, CPU units) in ``BENCH_core.json``.
+workload over the TPC-D cube twice — once with the versioned query-result
+cache on (the default) and once with ``use_result_cache=False`` (every
+query recomputed) — and records per-phase wall times, ops/sec and the
+deterministic tracker counters (node accesses, page I/Os, CPU units) in
+``BENCH_core.json``.
 
 The *repeat* phase prices the result cache: queries already asked once
 are re-asked with Zipfian popularity (a hot head of favourite reports, a
@@ -26,7 +25,7 @@ mode against the committed baseline with a configurable tolerance, so CI
 catches algorithmic regressions without depending on machine speed;
 wall-clock comparison is opt-in (``--strict-wall``).  The two modes must
 produce bit-identical query/group-by results (checked via a digest) —
-the caches are required to be semantically invisible.
+the result cache is required to be semantically invisible.
 
 Profiles:
 
@@ -48,7 +47,6 @@ import sys
 import tempfile
 import time
 
-from .. import hotpath
 from ..config import DCTreeConfig
 from ..core.debug import structure_digest
 from ..core.tree import DCTree
@@ -147,8 +145,8 @@ def _repeat_workload(queries, battery, n_repeats, seed):
     return rng.choices(pool, weights=weights, k=n_repeats)
 
 
-def run_workload(use_caches, n_records, n_queries, n_repeats=0, seed=0,
-                 observability=False):
+def run_workload(use_result_cache, n_records, n_queries, n_repeats=0,
+                 seed=0, observability=False):
     """One full benchmark pass; returns (mode-report dict, results digest,
     metrics snapshot).
 
@@ -167,8 +165,7 @@ def run_workload(use_caches, n_records, n_queries, n_repeats=0, seed=0,
     generator = TPCDGenerator(schema, seed=seed, scale_records=n_records)
     records = generator.generate(n_records)
     tree = DCTree(schema, config=DCTreeConfig(
-        use_hot_path_caches=use_caches, use_result_cache=use_caches,
-        observability=observability,
+        use_result_cache=use_result_cache, observability=observability,
     ))
 
     report = {}
@@ -254,14 +251,12 @@ def run_benchmark(profile="full", seed=0, emit_metrics=False):
     cached, cached_digest, _ = run_workload(
         True, params["records"], params["queries"], params["repeats"], seed
     )
-    with hotpath.disabled():
-        uncached, uncached_digest, _ = run_workload(
-            False, params["records"], params["queries"], params["repeats"],
-            seed,
-        )
+    uncached, uncached_digest, _ = run_workload(
+        False, params["records"], params["queries"], params["repeats"], seed
+    )
     if cached_digest != uncached_digest:
         raise AssertionError(
-            "hot-path caches changed query results: %s vs %s"
+            "result cache changed query results: %s vs %s"
             % (cached_digest, uncached_digest)
         )
     observability = None
@@ -277,13 +272,6 @@ def run_benchmark(profile="full", seed=0, emit_metrics=False):
             ),
             "metrics": metrics,
         }
-    query_heavy_cached = (
-        cached["query"]["wall_seconds"] + cached["groupby"]["wall_seconds"]
-    )
-    query_heavy_uncached = (
-        uncached["query"]["wall_seconds"]
-        + uncached["groupby"]["wall_seconds"]
-    )
     entry = {
         "profile": profile,
         "seed": seed,
@@ -298,23 +286,9 @@ def run_benchmark(profile="full", seed=0, emit_metrics=False):
         ),
         "modes": {"cached": cached, "uncached": uncached},
         "speedup": {
-            "query_wall": _ratio(
-                uncached["query"]["wall_seconds"],
-                cached["query"]["wall_seconds"],
-            ),
-            "groupby_wall": _ratio(
-                uncached["groupby"]["wall_seconds"],
-                cached["groupby"]["wall_seconds"],
-            ),
             "repeat_wall": _ratio(
                 uncached["repeat"]["wall_seconds"],
                 cached["repeat"]["wall_seconds"],
-            ),
-            "query_heavy_wall": _ratio(
-                query_heavy_uncached, query_heavy_cached
-            ),
-            "total_wall": _ratio(
-                uncached["total_wall_seconds"], cached["total_wall_seconds"]
             ),
         },
     }
@@ -519,13 +493,9 @@ def _format_summary(entry):
                    stats["ops_per_second"], stats["node_accesses"],
                    stats["page_ios"], stats["cpu_units"])
             )
-    speedup = entry["speedup"]
     lines.append(
-        "speedup (uncached/cached wall): query %.2fx, group-by %.2fx, "
-        "repeat %.2fx, query-heavy %.2fx, total %.2fx"
-        % (speedup["query_wall"], speedup["groupby_wall"],
-           speedup["repeat_wall"], speedup["query_heavy_wall"],
-           speedup["total_wall"])
+        "repeat speedup (uncached/cached wall): %.2fx"
+        % entry["speedup"]["repeat_wall"]
     )
     batch = entry.get("batch_insert")
     if batch:
@@ -552,7 +522,7 @@ def load_bench_file(path):
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench regression",
-        description="Hot-path benchmark with baseline regression checking.",
+        description="Core benchmark with baseline regression checking.",
     )
     parser.add_argument("--smoke", action="store_true",
                         help="small fast profile (<60 s, CI gate)")
@@ -561,9 +531,6 @@ def main(argv=None):
                         help="allowed fractional regression (default 0.20)")
     parser.add_argument("--strict-wall", action="store_true",
                         help="also fail on wall-clock ops/sec regressions")
-    parser.add_argument("--min-speedup", type=float, default=None,
-                        help="fail when the cached/uncached query-heavy "
-                             "wall speedup drops below this factor")
     parser.add_argument("--min-repeat-speedup", type=float, default=None,
                         help="fail when the repeated-query (result-cache) "
                              "wall speedup drops below this factor")
@@ -616,12 +583,6 @@ def main(argv=None):
         else:
             print("no regression vs. committed baseline (tolerance %d%%)"
                   % round(args.tolerance * 100))
-    if args.min_speedup is not None:
-        achieved = entry["speedup"]["query_heavy_wall"]
-        if achieved < args.min_speedup:
-            failed = True
-            print("REGRESSION: query-heavy speedup %.2fx below required "
-                  "%.2fx" % (achieved, args.min_speedup))
     if args.min_repeat_speedup is not None:
         achieved = entry["speedup"]["repeat_wall"]
         if achieved < args.min_repeat_speedup:

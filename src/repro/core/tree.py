@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import time
 
-from .. import hotpath
 from ..config import DCTreeConfig
 from ..cube.aggregation import AggregateVector, StreamingAggregator
 from ..errors import QueryError, RecordNotFoundError, TreeError
@@ -156,11 +155,12 @@ class DCTree:
 
         The sink rides next to the :attr:`tree_version` bump: every
         *acknowledged* mutator notifies it before returning —
-        ``record_insert(record)`` / ``record_delete(record)`` after the
-        in-memory apply succeeds, ``record_rebase(n_records)`` on a
-        wholesale root swap (:meth:`adopt_root`).  A write-ahead log
-        (see :class:`repro.persist.durable.DurableWarehouse`) is the
-        intended sink; anything with those three methods works.
+        ``record_insert(record)`` / ``record_insert_batch(records)`` /
+        ``record_delete(record)`` after the in-memory apply succeeds,
+        ``record_rebase(n_records)`` on a wholesale root swap
+        (:meth:`adopt_root`).  A write-ahead log (see
+        :class:`repro.persist.durable.DurableWarehouse`) is the intended
+        sink; anything with those four methods works.
         """
         self._mutation_sink = sink
 
@@ -177,12 +177,6 @@ class DCTree:
         self.note_mutation()
         if self._mutation_sink is not None:
             self._mutation_sink.record_rebase(n_records)
-
-    def _active_result_cache(self):
-        """The cache, when both the config and the global switch allow it."""
-        if self._result_cache is not None and hotpath.enabled():
-            return self._result_cache
-        return None
 
     def height(self):
         """Number of levels, counting the root as 1."""
@@ -285,12 +279,10 @@ class DCTree:
         * :attr:`tree_version` bumps ONCE per batch, at batch start —
           the result cache invalidates once, not per record.
         * A durability sink is notified once, after the in-memory apply,
-          via ``record_insert_batch(records)`` when it has one (the WAL
-          group-commits the batch as one atomic record: one fsync per
-          acknowledged batch) or by per-record ``record_insert`` calls
-          otherwise.  Returning IS the acknowledgement; a crash
-          mid-batch loses the whole unacknowledged batch and nothing
-          else.
+          via ``record_insert_batch(records)`` (the WAL group-commits the
+          batch as one atomic record: one fsync per acknowledged batch).
+          Returning IS the acknowledgement; a crash mid-batch loses the
+          whole unacknowledged batch and nothing else.
 
         Returns the number of records inserted.
         """
@@ -336,14 +328,7 @@ class DCTree:
         finally:
             self._batch = None
         if self._mutation_sink is not None:
-            record_batch = getattr(
-                self._mutation_sink, "record_insert_batch", None
-            )
-            if record_batch is not None:
-                record_batch(records)
-            else:
-                for record in records:
-                    self._mutation_sink.record_insert(record)
+            self._mutation_sink.record_insert_batch(records)
         return pages_written
 
     def _flush_batch(self, batch):
@@ -716,25 +701,14 @@ class DCTree:
     def _classify_entry(self, range_mds, entry_mds, check_containment=True):
         """DISJOINT/PARTIAL/CONTAINED classification of one directory entry.
 
-        With ``use_hot_path_caches`` on, this is the fused single-pass
-        :func:`~repro.core.mds.classify` (each dimension adapted exactly
-        once, memoized); otherwise the legacy ``overlaps`` + ``contains``
-        call pair.  Either way one :func:`~repro.core.mds.operation_cost`
-        charge is made — the cost model prices the *logical* comparison,
-        so simulated times stay comparable across the ablation.
+        Charges one :func:`~repro.core.mds.operation_cost` — the cost
+        model prices the *logical* comparison — then runs the fused
+        single-pass :func:`~repro.core.mds.classify`.
         """
         self.tracker.cpu(mds_mod.operation_cost(range_mds, entry_mds))
-        if self.config.use_hot_path_caches:
-            return mds_mod.classify(
-                range_mds, entry_mds, self.hierarchies, check_containment
-            )
-        if not mds_mod.overlaps(range_mds, entry_mds, self.hierarchies):
-            return mds_mod.DISJOINT
-        if check_containment and mds_mod.contains(
-            range_mds, entry_mds, self.hierarchies
-        ):
-            return mds_mod.CONTAINED
-        return mds_mod.PARTIAL
+        return mds_mod.classify(
+            range_mds, entry_mds, self.hierarchies, check_containment
+        )
 
     def range_query(self, range_mds, op="sum", measure=0, explain=False):
         """Aggregate ``op`` of one measure over the cells in ``range_mds``.
@@ -776,7 +750,7 @@ class DCTree:
                     range_mds, op, measure_index
                 ),
             )
-        cache = self._active_result_cache()
+        cache = self._result_cache
         if cache is None:
             return self._range_query_computed(range_mds, op, measure_index)
         entry = cache.fetch(key, self._tree_version, self.tracker)
@@ -804,7 +778,7 @@ class DCTree:
         profile = QueryProfile(
             kind, op, measure_index, self._tree_version
         )
-        cache = self._active_result_cache()
+        cache = self._result_cache
         cached = None
         if cache is None:
             profile.cache_outcome = "disabled"
@@ -1150,7 +1124,7 @@ class DCTree:
                     for value, aggregator in groups.items()
                 },
             )
-        cache = self._active_result_cache()
+        cache = self._result_cache
         if cache is None:
             return self._group_by_computed(
                 dim_index, level, op, measure_index, range_mds

@@ -245,12 +245,7 @@ def _replay_wal(warehouse, wal_path, report, faults):
                 record_from_labels(warehouse.schema, labels)
                 for labels in payload
             ]
-            insert_batch = getattr(warehouse.index, "insert_batch", None)
-            if insert_batch is not None:
-                insert_batch(records)
-            else:
-                for record in records:
-                    warehouse.index.insert(record)
+            warehouse.index.insert_batch(records)
             report.applied_inserts += len(records)
             report.applied_batches += 1
         elif op == wal_mod.OP_DELETE:
@@ -299,7 +294,7 @@ def recover_warehouse(checkpoint_path, wal_path=None, config=None,
         report.checkpoint_age_seconds = None
 
     if wal_path is not None:
-        obs = getattr(warehouse.index, "observability", None)
+        obs = warehouse.index.observability
         if obs is not None:
             with obs.span("recovery.replay", wal=str(wal_path)) as span:
                 _replay_wal(warehouse, wal_path, report, faults)

@@ -19,6 +19,9 @@ from ..core import mds as mds_mod
 class FlatTable:
     """An unindexed record store answering range queries by full scans."""
 
+    #: Telemetry bundle; the baseline backends are never instrumented.
+    observability = None
+
     def __init__(self, schema, tracker=None, storage_config=None):
         self.schema = schema
         self.hierarchies = tuple(d.hierarchy for d in schema.dimensions)

@@ -116,11 +116,9 @@ class Warehouse:
         """Insert many ``(dimension_values, measures)`` pairs as one batch.
 
         Builds the records up front, then routes them through the
-        backend's amortized ``insert_batch`` when it has one (the
-        DC-tree and the scan table charge page writes once per touched
-        node/page per batch); backends without a batch path fall back to
-        serial inserts, which yields the identical tree at the serial
-        write cost.  Returns the stored records.
+        backend's ``insert_batch`` (the DC-tree and the scan table
+        charge page writes once per touched node/page per batch; the
+        X-tree inserts serially).  Returns the stored records.
         """
         records = [
             self.schema.record(dimension_values, measures)
@@ -135,12 +133,7 @@ class Warehouse:
         records = list(records)
         if not records:
             return records
-        insert_batch = getattr(self.index, "insert_batch", None)
-        if insert_batch is not None:
-            insert_batch(records)
-        else:
-            for record in records:
-                self.index.insert(record)
+        self.index.insert_batch(records)
         return records
 
     def delete(self, record):
@@ -324,7 +317,7 @@ class Warehouse:
     def observability(self):
         """The backend's telemetry bundle (None unless a DC-tree has
         ``DCTreeConfig.observability`` on)."""
-        return getattr(self.index, "observability", None)
+        return self.index.observability
 
     def byte_size(self):
         """Approximate on-disk footprint of the index in bytes."""

@@ -27,6 +27,9 @@ from .node import XDataNode, XDirNode
 class XTree:
     """An X-tree over the flattened attribute space of a cube schema."""
 
+    #: Telemetry bundle; the baseline backends are never instrumented.
+    observability = None
+
     def __init__(self, schema, config=None, tracker=None, storage_config=None):
         self.schema = schema
         self.config = config if config is not None else XTreeConfig()
@@ -116,6 +119,17 @@ class XTree:
         if split_result is not None:
             self._grow_root(split_result)
         self._n_records += 1
+
+    def insert_batch(self, records):
+        """Insert many records one by one; returns the number inserted.
+
+        The X-tree has no amortized batch path: the tree and every
+        counter match serial :meth:`insert` calls.
+        """
+        records = list(records)
+        for record in records:
+            self.insert(record)
+        return len(records)
 
     def _insert_into(self, node, point, record):
         self.tracker.access_node(node.page_id, node.n_blocks)

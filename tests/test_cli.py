@@ -92,6 +92,7 @@ class TestInspect:
         assert "records:  300" in out
         assert "height:" in out
         assert "Customer" in out
+        assert "result-cache" in out
 
 
 class TestTopLevel:

@@ -1,12 +1,13 @@
-"""Equivalence suite for the hot-path acceleration layer.
+"""Oracle suite for the hot-path caches.
 
 The flattened ancestor tables, the versioned MDS adaptation memo and the
-fused classify() test must be semantically invisible: every operation
-returns identical results with the layer on (the default) and off
-(``repro.hotpath.disabled()`` + ``DCTreeConfig(use_hot_path_caches=False)``,
-which together restore the legacy parent-walking/uncached/two-call code
-paths).  Property tests drive random hierarchies, MDS pairs and whole
-trees through both modes.
+fused classify() test must be semantically invisible.  Each is checked
+against a reference computed inside the test: a ``hierarchy.parent``
+walk for ``ancestor``, a set comprehension over ``ancestor`` for
+``adapted_set``, the Definition 4 ``overlaps`` + ``contains`` pair for
+``classify``, and an unindexed :class:`~repro.scan.table.FlatTable` over
+the same records for whole trees.  Property tests drive random
+hierarchies, MDS pairs and whole trees through them.
 """
 
 from __future__ import annotations
@@ -16,13 +17,14 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from repro import hotpath
 from repro.bench import regression
 from repro.config import DCTreeConfig
 from repro.core import mds as mds_mod
 from repro.core.mds import MDS
 from repro.core.tree import DCTree
+from repro.cube.aggregation import StreamingAggregator
 from repro.cube.schema import CubeSchema, Dimension, Measure
+from repro.scan.table import FlatTable
 from repro.workload.queries import QueryGenerator
 
 REGIONS = ("EU", "NA", "ASIA")
@@ -116,11 +118,10 @@ class TestAncestorTables:
             hierarchy = dimension.hierarchy
             for level in range(hierarchy.top_level + 1):
                 for value in hierarchy.values_at_level(level):
+                    walked = value
                     for target in range(level, hierarchy.top_level + 1):
-                        fast = hierarchy.ancestor(value, target)
-                        with hotpath.disabled():
-                            slow = hierarchy.ancestor(value, target)
-                        assert fast == slow
+                        assert hierarchy.ancestor(value, target) == walked
+                        walked = hierarchy.parent(walked)
 
     def test_ancestors_of_spans_to_all(self):
         schema, records = populate([("EU", "DE", 1, "red")])
@@ -163,9 +164,11 @@ class TestAdaptationMemo:
             hierarchy = dimension.hierarchy
             for target in range(mds.level(dim), hierarchy.top_level + 1):
                 cached = mds.adapted_set(dim, target, hierarchy)
-                with hotpath.disabled():
-                    uncached = mds.adapted_set(dim, target, hierarchy)
-                assert set(cached) == set(uncached)
+                uncached = {
+                    hierarchy.ancestor(value, target)
+                    for value in mds.value_set(dim)
+                }
+                assert set(cached) == uncached
 
     def test_memo_hit_returns_same_object(self):
         schema, records = populate([("EU", "DE", 1, "red")])
@@ -216,13 +219,12 @@ class TestFusedClassifier:
     def test_classify_matches_overlaps_plus_contains(self, pair):
         schema, range_mds, entry_mds = pair
         hierarchies = tuple(d.hierarchy for d in schema.dimensions)
-        with hotpath.disabled():
-            if not mds_mod.overlaps(range_mds, entry_mds, hierarchies):
-                expected = mds_mod.DISJOINT
-            elif mds_mod.contains(range_mds, entry_mds, hierarchies):
-                expected = mds_mod.CONTAINED
-            else:
-                expected = mds_mod.PARTIAL
+        if not mds_mod.overlaps(range_mds, entry_mds, hierarchies):
+            expected = mds_mod.DISJOINT
+        elif mds_mod.contains(range_mds, entry_mds, hierarchies):
+            expected = mds_mod.CONTAINED
+        else:
+            expected = mds_mod.PARTIAL
         assert mds_mod.classify(range_mds, entry_mds, hierarchies) \
             == expected
 
@@ -238,134 +240,114 @@ class TestFusedClassifier:
             == mds_mod.overlaps(range_mds, entry_mds, hierarchies)
 
 
-def _build_pair_of_trees(n_records, seed, capacity=8):
-    """Two trees over identical record streams: caches on vs. fully off."""
-    schema_fast = build_schema()
-    schema_slow = build_schema()
-    records_fast = make_records(schema_fast, n_records, seed)
-    records_slow = make_records(schema_slow, n_records, seed)
-    fast = DCTree(
-        schema_fast,
-        config=DCTreeConfig(dir_capacity=4, leaf_capacity=capacity),
+def _build_tree_and_table(n_records, seed, capacity=8, **config):
+    """A small-capacity tree and a scan table over the same records."""
+    schema = build_schema()
+    records = make_records(schema, n_records, seed)
+    tree = DCTree(
+        schema,
+        config=DCTreeConfig(dir_capacity=4, leaf_capacity=capacity, **config),
     )
-    slow = DCTree(
-        schema_slow,
-        config=DCTreeConfig(
-            dir_capacity=4, leaf_capacity=capacity,
-            use_hot_path_caches=False,
-        ),
-    )
-    for record in records_fast:
-        fast.insert(record)
-    with hotpath.disabled():
-        for record in records_slow:
-            slow.insert(record)
-    return fast, slow, records_fast, records_slow
+    table = FlatTable(schema)
+    for record in records:
+        tree.insert(record)
+        table.insert(record)
+    return tree, table, records
+
+
+def _scan_group_by(table, dim, level, range_mds):
+    """Reference roll-up: group the scanned records by their ancestor."""
+    if range_mds is None:
+        range_mds = MDS.all_mds(table.hierarchies)
+    groups = {}
+    for record in table.range_records(range_mds):
+        key = record.value_at_level(dim, level)
+        if key not in groups:
+            groups[key] = StreamingAggregator("sum", 0)
+        groups[key].add_record(record)
+    return {key: aggregator.result() for key, aggregator in groups.items()}
+
+
+def _assert_query_matches_scan(tree, table, range_mds):
+    for op in ("sum", "count", "min", "max"):
+        assert tree.range_query(range_mds, op=op) \
+            == table.range_query(range_mds, op=op), op
+    got_records = sorted(repr(r) for r in tree.range_records(range_mds))
+    want_records = sorted(repr(r) for r in table.range_records(range_mds))
+    assert got_records == want_records
+    # With a depth budget past the leaves the estimate is exact.
+    assert tree.estimate_count(range_mds, max_depth=tree.height()) \
+        == pytest.approx(len(want_records))
 
 
 class TestTreeEquivalence:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_queries_identical_cached_vs_uncached(self, seed):
-        fast, slow, _, _ = _build_pair_of_trees(250, seed)
-        queries_fast = QueryGenerator(
-            fast.schema, 0.3, seed=seed + 10
-        ).queries(15)
-        queries_slow = QueryGenerator(
-            slow.schema, 0.3, seed=seed + 10
-        ).queries(15)
-        for query_fast, query_slow in zip(queries_fast, queries_slow):
-            assert query_fast.mds == query_slow.mds
-            for op in ("sum", "count", "min", "max"):
-                got = fast.range_query(query_fast.mds, op=op)
-                with hotpath.disabled():
-                    want = slow.range_query(query_slow.mds, op=op)
-                assert got == want, op
-            got_records = sorted(repr(r) for r in
-                                 fast.range_records(query_fast.mds))
-            got_estimate = fast.estimate_count(query_fast.mds)
-            with hotpath.disabled():
-                want_records = sorted(repr(r) for r in
-                                      slow.range_records(query_slow.mds))
-                want_estimate = slow.estimate_count(query_slow.mds)
-            assert got_records == want_records
-            assert got_estimate == pytest.approx(want_estimate)
+        """The tree answers like an uncached full scan."""
+        tree, table, _ = _build_tree_and_table(250, seed)
+        for query in QueryGenerator(
+            tree.schema, 0.3, seed=seed + 10
+        ).queries(15):
+            _assert_query_matches_scan(tree, table, query.mds)
 
     def test_group_by_identical_cached_vs_uncached(self):
-        fast, slow, _, _ = _build_pair_of_trees(250, seed=5)
-        restriction_fast = QueryGenerator(fast.schema, 0.4, seed=3).query()
-        restriction_slow = QueryGenerator(slow.schema, 0.4, seed=3).query()
-        for dim in range(fast.schema.n_dimensions):
-            top = fast.hierarchies[dim].top_level
+        tree, table, _ = _build_tree_and_table(250, seed=5)
+        restriction = QueryGenerator(tree.schema, 0.4, seed=3).query()
+        for dim in range(tree.schema.n_dimensions):
+            top = tree.hierarchies[dim].top_level
             for level in range(top):
-                for range_mds_fast, range_mds_slow in (
-                    (None, None),
-                    (restriction_fast.mds, restriction_slow.mds),
-                ):
-                    got = fast.group_by(dim, level, range_mds=range_mds_fast)
-                    with hotpath.disabled():
-                        want = slow.group_by(
-                            dim, level, range_mds=range_mds_slow
-                        )
-                    assert got == want
+                for range_mds in (None, restriction.mds):
+                    got = tree.group_by(dim, level, range_mds=range_mds)
+                    assert got == _scan_group_by(table, dim, level, range_mds)
 
     def test_deterministic_counters_identical(self):
-        """I/O and CPU charges must not depend on the acceleration layer."""
-        fast, slow, _, _ = _build_pair_of_trees(200, seed=9)
-        fast.tracker.reset(clear_buffer=True)
-        slow.tracker.reset(clear_buffer=True)
-        query_fast = QueryGenerator(fast.schema, 0.25, seed=4).query()
-        query_slow = QueryGenerator(slow.schema, 0.25, seed=4).query()
-        fast.range_query(query_fast.mds)
-        with hotpath.disabled():
-            slow.range_query(query_slow.mds)
-        got = fast.tracker.snapshot()
-        want = slow.tracker.snapshot()
-        assert got.node_accesses == want.node_accesses
-        assert got.cpu_units == want.cpu_units
-        assert got.page_ios == want.page_ios
+        """I/O and CPU charges depend neither on warm memos nor on the
+        result cache: a repeated query charges what the first one did."""
+        charges = []
+        for use_result_cache in (False, True):
+            tree, _, _ = _build_tree_and_table(
+                200, seed=9, use_result_cache=use_result_cache
+            )
+            query = QueryGenerator(tree.schema, 0.25, seed=4).query()
+            for _ in range(2):
+                tree.tracker.reset(clear_buffer=True)
+                tree.range_query(query.mds)
+                stats = tree.tracker.snapshot()
+                charges.append(
+                    (stats.node_accesses, stats.cpu_units, stats.page_ios)
+                )
+        assert len(set(charges)) == 1
 
 
 class TestDynamicInvalidation:
     def test_invariants_after_interleaved_insert_delete(self):
         """Acceptance: invalidation correctness under hierarchy growth."""
-        fast, slow, records_fast, records_slow = _build_pair_of_trees(
-            220, seed=11
-        )
+        tree, table, records = _build_tree_and_table(220, seed=11)
         # Delete every third record, then insert fresh records that force
         # brand-new hierarchy nodes (dynamic growth after deletions).
-        for record in records_fast[::3]:
-            fast.delete(record)
-        with hotpath.disabled():
-            for record in records_slow[::3]:
-                slow.delete(record)
-        growth_fast = make_records(fast.schema, 60, seed=77, city_pool=500)
-        growth_slow = make_records(slow.schema, 60, seed=77, city_pool=500)
-        for record in growth_fast:
-            fast.insert(record)
-        with hotpath.disabled():
-            for record in growth_slow:
-                slow.insert(record)
-        assert fast.check_invariants() == len(fast)
-        assert slow.check_invariants() == len(slow)
-        query_fast = QueryGenerator(fast.schema, 0.5, seed=8).query()
-        query_slow = QueryGenerator(slow.schema, 0.5, seed=8).query()
-        got = fast.range_query(query_fast.mds)
-        with hotpath.disabled():
-            want = slow.range_query(query_slow.mds)
-        assert got == want
+        for record in records[::3]:
+            tree.delete(record)
+            table.delete(record)
+        for record in make_records(tree.schema, 60, seed=77, city_pool=500):
+            tree.insert(record)
+            table.insert(record)
+        assert tree.check_invariants() == len(tree) == len(table)
+        for query in QueryGenerator(tree.schema, 0.5, seed=8).queries(5):
+            _assert_query_matches_scan(tree, table, query.mds)
+        for dim in range(tree.schema.n_dimensions):
+            assert tree.group_by(dim, 0) == _scan_group_by(table, dim, 0, None)
 
 
 class TestRegressionHarness:
     def test_both_modes_produce_identical_digests(self):
         cached, digest_cached, _ = regression.run_workload(
-            True, n_records=150, n_queries=6, seed=3
+            True, n_records=150, n_queries=6, n_repeats=12, seed=3
         )
-        with hotpath.disabled():
-            uncached, digest_uncached, _ = regression.run_workload(
-                False, n_records=150, n_queries=6, seed=3
-            )
+        uncached, digest_uncached, _ = regression.run_workload(
+            False, n_records=150, n_queries=6, n_repeats=12, seed=3
+        )
         assert digest_cached == digest_uncached
-        for phase in ("insert", "query", "groupby"):
+        for phase in ("insert", "query", "groupby", "repeat"):
             assert cached[phase]["cpu_units"] == uncached[phase]["cpu_units"]
             assert cached[phase]["page_ios"] == uncached[phase]["page_ios"]
 

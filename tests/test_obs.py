@@ -524,14 +524,6 @@ class TestBridgesAndDurability:
         finally:
             recovered.close()
 
-    def test_describe_result_cache_back_compat(self):
-        from repro.core.debug import describe_result_cache as legacy
-        from repro.obs.metrics import describe_result_cache as canonical
-
-        assert legacy is canonical
-        schema, tree = build_tree()
-        assert "result-cache" in legacy(tree)
-
 
 class TestConfig:
     def test_env_default(self, monkeypatch):

@@ -216,6 +216,24 @@ class TestConfigPersistence:
         restored = warehouse_from_dict(data)
         assert len(restored) == len(warehouse)
 
+    def test_retired_config_key_still_loads(self):
+        """A config key that older files carry but DCTreeConfig no
+        longer takes is dropped on load; the same tree comes back."""
+        from repro.core.debug import structure_digest
+
+        warehouse = build_warehouse("dc-tree")
+        data = warehouse_to_dict(warehouse)
+        data["index"]["config"]["use_hot_path_caches"] = True
+        restored = warehouse_from_dict(data)
+        restored.index.check_invariants()
+        assert structure_digest(restored.index) \
+            == structure_digest(warehouse.index)
+        for where in ({}, {"Geo": ("Country", ["DE"])},
+                      {"Color": ("Color", ["red", "blue"])}):
+            for op in ("sum", "count", "min", "max"):
+                assert restored.query(op, where=where) \
+                    == warehouse.query(op, where=where)
+
 
 class TestDurableSave:
     def test_checksums_section_written(self, tmp_path):

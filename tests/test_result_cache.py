@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro import hotpath
 from repro.config import DCTreeConfig
 from repro.core.bulkload import bulk_load
 from repro.core.mds import MDS
@@ -101,15 +100,6 @@ class TestResultCacheUnit:
         assert tree.range_query(query.mds, op="avg") is None
         stats = collect_cache_stats(tree)
         assert (stats.hits, stats.misses) == (1, 1)
-
-    def test_hotpath_switch_bypasses_cache(self):
-        schema, tree, _records = build_tree(use_cache=True)
-        mds = country_mds(schema, ["FR"])
-        with hotpath.disabled():
-            assert tree.range_query(mds) == 10.0
-            assert tree.range_query(mds) == 10.0
-        stats = collect_cache_stats(tree)
-        assert stats.lookups == 0
 
 
 class TestLRUEviction:
