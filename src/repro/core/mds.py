@@ -441,6 +441,16 @@ def covers_record(mds, record, hierarchies):
     return True
 
 
+def _bin_popcount(bits):
+    """Number of set bits of a non-negative int (Python < 3.10)."""
+    return bin(bits).count("1")
+
+
+#: Number of set bits of a non-negative int: ``int.bit_count`` where the
+#: interpreter has it (3.10+), :func:`_bin_popcount` otherwise.
+popcount = getattr(int, "bit_count", _bin_popcount)
+
+
 def operation_cost(m, n):
     """CPU work units of one binary MDS operation (for the cost model).
 

@@ -23,12 +23,23 @@ Splitting a DC-tree node proceeds in two stages:
 A cheaper single-pass :func:`linear_split` implements the paper's
 future-work suggestion of a sub-quadratic split and is exposed through
 ``DCTreeConfig.split_algorithm = "linear"`` for the `abl-split` ablation.
+
+Both splits run on int bitsets rather than on the value sets: each entry
+gets one mask per dimension, bit ``k`` standing for the ``k``-th distinct
+value of that dimension among the entries, and the cover, enlargement
+and shared-value sizes Fig. 6 compares become popcounts of OR and AND.  That is only sound when every entry sits at the same levels —
+which :func:`plan_node_split` guarantees by adapting all entries to one
+level configuration — so both functions reject mixed levels with
+:class:`~repro.errors.MdsError`.  The decisions and the CPU units charged
+are those of the set algebra of Definition 4; the seed choice charges its
+per-pair :func:`~repro.core.mds.operation_cost` sum in closed form.
 """
 
 from __future__ import annotations
 
+from ..errors import MdsError
 from . import mds as mds_mod
-from .mds import MDS
+from .mds import MDS, popcount
 
 
 class SplitPlan:
@@ -159,149 +170,203 @@ def compute_group_mds(mdss, levels, hierarchies):
 # ----------------------------------------------------------------------
 
 
+def _check_split_input(mdss):
+    """Reject what the bitset kernel cannot split: fewer than two entries,
+    or entries whose relevant levels differ (a value's bit only means the
+    same thing in two masks when both sit at the same level)."""
+    if len(mdss) < 2:
+        raise MdsError("a split needs at least two entries, got %d"
+                       % len(mdss))
+    levels = mdss[0].levels
+    for m in mdss:
+        if m.levels != levels:
+            raise MdsError("split entries must share their levels: %r vs %r"
+                           % (levels, m.levels))
+
+
+def _value_masks(mdss, dim):
+    """One int bitset per entry over dimension ``dim``'s value sets.
+
+    Bit ``k`` stands for the ``k``-th distinct value met, so a mask is as
+    wide as the split's distinct values in ``dim`` (not as the 28-bit ID
+    counter space).
+    """
+    index = {}
+    masks = []
+    for m in mdss:
+        bits = 0
+        for value in m.value_set(dim):
+            bit = index.get(value)
+            if bit is None:
+                bit = index[value] = len(index)
+            bits |= 1 << bit
+        masks.append(bits)
+    return masks
+
+
 def choose_seeds(mdss, hierarchies):
     """Pick the two seed entries: the pair with the largest covering MDS.
 
-    Returns ``(i, j, cpu_units)``.  The size of a pair's cover is the sum
-    over dimensions of the union cardinalities, computed without
-    materializing the cover.
+    Returns ``(i, j, cpu_units)``.  ``mdss`` must share their levels
+    (:class:`MdsError` otherwise, or for fewer than two entries), so the
+    size of a pair's cover is ``popcount(mask_i | mask_j)`` over one mask
+    per entry that concatenates its per-dimension value masks.  Pairs
+    are scanned in ``(i, j)`` order and only a strictly larger cover
+    replaces the best, so ties keep the first pair.  ``hierarchies`` is
+    not consulted: entries at common levels need no adaptation.
+
+    ``cpu_units`` is what one :func:`~repro.core.mds.operation_cost` per
+    pair would charge, summed in closed form (docs/cost_model.md): with
+    one dimension's cardinalities in ascending order ``c_0 <= c_1 <= ...``,
+    ``c_k`` is the smaller side of exactly ``n - k - 1`` pairs.
     """
+    _check_split_input(mdss)
+    n = len(mdss)
+    n_dims = mdss[0].n_dimensions
+    cpu_units = n * (n - 1) // 2 * n_dims
+    covers = [0] * n
+    offset = 0
+    for dim in range(n_dims):
+        masks = _value_masks(mdss, dim)
+        for i, bits in enumerate(masks):
+            covers[i] |= bits << offset
+        offset += max(masks).bit_length()
+        cardinalities = sorted(m.cardinality(dim) for m in mdss)
+        cpu_units += sum(c * (n - k - 1) for k, c in enumerate(cardinalities))
     best = None
     best_size = -1
-    cpu_units = 0
-    n = len(mdss)
-    for i in range(n):
-        for j in range(i + 1, n):
-            size = 0
-            for dim in range(mdss[i].n_dimensions):
-                size += mds_mod.union_cardinality(
-                    mdss[i], mdss[j], dim, hierarchies
-                )
-            cpu_units += mds_mod.operation_cost(mdss[i], mdss[j])
-            if size > best_size:
-                best_size = size
-                best = (i, j)
+    for i in range(n - 1):
+        cover = covers[i]
+        sizes = [popcount(cover | other) for other in covers[i + 1:]]
+        size = max(sizes)
+        if size > best_size:
+            best_size = size
+            best = (i, i + 1 + sizes.index(size))
     return best[0], best[1], cpu_units
+
+
+class _Group:
+    """One side of a split in progress: its entry indices, its
+    split-dimension value mask and its cover MDS, grown together."""
+
+    __slots__ = ("members", "bits", "mds")
+
+    def __init__(self, seed, bits, mds):
+        self.members = [seed]
+        self.bits = bits
+        self.mds = mds.copy()
+
+    def add(self, idx, bits, mds, hierarchies):
+        self.members.append(idx)
+        self.bits |= bits
+        self.mds.add_mds(mds, hierarchies)
 
 
 def hierarchy_split(mdss, split_dim, hierarchies, min_group=2):
     """Fig. 6: quadratic split of ``mdss`` along ``split_dim``.
 
-    ``mdss`` must already be adapted to common levels.  Returns
-    ``((group_a, group_b), cpu_units)`` where the groups are lists of
-    indices into ``mdss``.  Like Guttman's quadratic split (which Fig. 6
-    is explicitly based on), remaining entries are assigned wholesale to
-    a group that needs all of them to reach ``min_group``.
+    ``mdss`` must share their levels (:class:`MdsError` otherwise, or for
+    fewer than two entries).  Returns ``((group_a, group_b), cpu_units)``
+    where the groups are lists of indices into ``mdss``.  Like Guttman's
+    quadratic split (which Fig. 6 is explicitly based on), remaining
+    entries are assigned wholesale to a group that needs all of them to
+    reach ``min_group``.
+
+    Each round picks the first remaining entry whose split-dimension
+    enlargement ``popcount((mask | group) ^ group)`` differs most between
+    the two groups, charging ``2·|candidate|`` units per remaining entry,
+    then assigns it by :func:`_prefer_group_a`.
     """
     seed_a, seed_b, cpu_units = choose_seeds(mdss, hierarchies)
-    group_a, group_b = [seed_a], [seed_b]
-    mds_a = mdss[seed_a].copy()
-    mds_b = mdss[seed_b].copy()
+    masks = _value_masks(mdss, split_dim)
+    a = _Group(seed_a, masks[seed_a], mdss[seed_a])
+    b = _Group(seed_b, masks[seed_b], mdss[seed_b])
     remaining = [i for i in range(len(mdss)) if i not in (seed_a, seed_b)]
+    # Sum of |candidate| over ``remaining``: each round charges it twice.
+    pending = sum(popcount(masks[i]) for i in remaining)
 
     while remaining:
-        if len(group_a) + len(remaining) <= min_group:
-            group_a.extend(remaining)
+        if len(a.members) + len(remaining) <= min_group:
+            a.members.extend(remaining)
             break
-        if len(group_b) + len(remaining) <= min_group:
-            group_b.extend(remaining)
+        if len(b.members) + len(remaining) <= min_group:
+            b.members.extend(remaining)
             break
-        chosen_pos = None
-        chosen_diff = -1
-        for pos, idx in enumerate(remaining):
-            candidate = mdss[idx]
-            enlargement_a = _enlargement(mds_a, candidate, split_dim)
-            enlargement_b = _enlargement(mds_b, candidate, split_dim)
-            cpu_units += 2 * candidate.cardinality(split_dim)
-            diff = abs(enlargement_a - enlargement_b)
-            if diff > chosen_diff:
-                chosen_diff = diff
-                chosen_pos = pos
-        idx = remaining.pop(chosen_pos)
-        target_a = _prefer_group_a(
-            mds_a, mds_b, mdss[idx], group_a, group_b, split_dim, hierarchies
-        )
-        cpu_units += mds_mod.operation_cost(mds_a, mds_b)
-        if target_a:
-            group_a.append(idx)
-            mds_a.add_mds(mdss[idx], hierarchies)
-        else:
-            group_b.append(idx)
-            mds_b.add_mds(mdss[idx], hierarchies)
-    return (group_a, group_b), cpu_units
+        # A group's enlargement by m is |m| - |m & group|, so the two
+        # enlargements differ by exactly the two shared counts' difference.
+        bits_a, bits_b = a.bits, b.bits
+        diffs = [
+            abs(popcount(masks[i] & bits_a) - popcount(masks[i] & bits_b))
+            for i in remaining
+        ]
+        cpu_units += 2 * pending
+        idx = remaining.pop(diffs.index(max(diffs)))
+        pending -= popcount(masks[idx])
+        cpu_units += _assign(a, b, idx, masks[idx], mdss[idx], hierarchies)
+    return (a.members, b.members), cpu_units
 
 
 def linear_split(mdss, split_dim, hierarchies, min_group=2):
     """Single-pass split (future-work ablation): linear seed choice, then
     the remaining entries are assigned in input order with Fig. 6's group
-    criterion.  Returns the same shape as :func:`hierarchy_split`."""
+    criterion.  Returns the same shape as :func:`hierarchy_split` and has
+    the same precondition."""
+    _check_split_input(mdss)
+    masks = _value_masks(mdss, split_dim)
     seed_a = 0
     seed_b = None
     worst_similarity = None
     cpu_units = 0
-    base = mdss[seed_a].value_set(split_dim)
+    base = masks[seed_a]
     for idx in range(1, len(mdss)):
-        other = mdss[idx].value_set(split_dim)
-        union = len(base | other)
-        similarity = len(base & other) / union if union else 1.0
-        cpu_units += len(base) + len(other)
+        other = masks[idx]
+        union = popcount(base | other)
+        similarity = popcount(base & other) / union if union else 1.0
+        cpu_units += popcount(base) + popcount(other)
         if worst_similarity is None or similarity < worst_similarity:
             worst_similarity = similarity
             seed_b = idx
-    if seed_b is None:
-        seed_b = len(mdss) - 1
-    group_a, group_b = [seed_a], [seed_b]
-    mds_a = mdss[seed_a].copy()
-    mds_b = mdss[seed_b].copy()
+    a = _Group(seed_a, masks[seed_a], mdss[seed_a])
+    b = _Group(seed_b, masks[seed_b], mdss[seed_b])
     remaining = [i for i in range(len(mdss)) if i not in (seed_a, seed_b)]
     for position, idx in enumerate(remaining):
         left = len(remaining) - position
-        if len(group_a) + left <= min_group:
-            group_a.extend(remaining[position:])
+        if len(a.members) + left <= min_group:
+            a.members.extend(remaining[position:])
             break
-        if len(group_b) + left <= min_group:
-            group_b.extend(remaining[position:])
+        if len(b.members) + left <= min_group:
+            b.members.extend(remaining[position:])
             break
-        target_a = _prefer_group_a(
-            mds_a, mds_b, mdss[idx], group_a, group_b, split_dim, hierarchies
-        )
-        cpu_units += mds_mod.operation_cost(mds_a, mds_b)
-        if target_a:
-            group_a.append(idx)
-            mds_a.add_mds(mdss[idx], hierarchies)
-        else:
-            group_b.append(idx)
-            mds_b.add_mds(mdss[idx], hierarchies)
-    return (group_a, group_b), cpu_units
+        cpu_units += _assign(a, b, idx, masks[idx], mdss[idx], hierarchies)
+    return (a.members, b.members), cpu_units
 
 
-def _enlargement(group_mds, candidate, split_dim):
-    """Growth of the group's split-dimension value set if it absorbed
-    ``candidate`` (both already at common levels)."""
-    group_set = group_mds.value_set(split_dim)
-    return len(candidate.value_set(split_dim) - group_set)
+def _assign(a, b, idx, bits, candidate, hierarchies):
+    """Add entry ``idx`` to the group Fig. 6's criterion prefers; return
+    the units charged (one binary operation on the two group MDSs)."""
+    target = a if _prefer_group_a(a, b, bits, candidate, hierarchies) else b
+    cpu_units = mds_mod.operation_cost(a.mds, b.mds)
+    target.add(idx, bits, candidate, hierarchies)
+    return cpu_units
 
 
-def _prefer_group_a(mds_a, mds_b, candidate, group_a, group_b, split_dim,
-                    hierarchies):
+def _prefer_group_a(a, b, bits, candidate, hierarchies):
     """Fig. 6's insertion criterion.
 
     §4.3: the algorithm "selects a group such that the new MDS and the MDS
     of the group share as many attribute values as possible in the split
-    dimension" — that is the primary criterion and what drives the groups
-    towards disjoint split-dimension value sets.  Remaining ties fall to
-    the least resulting inter-group overlap, then extension sum, volume
-    sum, and finally the smaller group (balance).
+    dimension" — that is the primary criterion, ``popcount(bits & group)``,
+    and what drives the groups towards disjoint split-dimension value
+    sets.  Remaining ties fall to the least resulting inter-group overlap,
+    then extension sum, volume sum, and finally the smaller group
+    (balance).
     """
-    shared_a = len(
-        candidate.value_set(split_dim) & mds_a.value_set(split_dim)
-    )
-    shared_b = len(
-        candidate.value_set(split_dim) & mds_b.value_set(split_dim)
-    )
+    shared_a = popcount(bits & a.bits)
+    shared_b = popcount(bits & b.bits)
     if shared_a != shared_b:
         return shared_a > shared_b
 
+    mds_a, mds_b = a.mds, b.mds
     enlarged_a = mds_a.copy()
     enlarged_a.add_mds(candidate, hierarchies)
     enlarged_b = mds_b.copy()
@@ -322,4 +387,4 @@ def _prefer_group_a(mds_a, mds_b, candidate, group_a, group_b, split_dim,
     if volume_if_a != volume_if_b:
         return volume_if_a < volume_if_b
 
-    return len(group_a) <= len(group_b)
+    return len(a.members) <= len(b.members)

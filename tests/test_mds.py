@@ -519,3 +519,23 @@ class TestAddMds:
         coarse = MDS.for_record(records[0], (1, 0), hierarchies)
         with pytest.raises(MdsError):
             fine.add_mds(coarse, hierarchies)
+
+
+WIDE_MASK = (1 << 28) - 1 | ((1 << 28) - 1) << 40 | 1 << 200
+
+
+class TestPopcount:
+    """``popcount`` (and its pre-3.10 fallback) against ``bin().count``."""
+
+    @pytest.mark.parametrize(
+        "function", [mds_mod.popcount, mds_mod._bin_popcount]
+    )
+    @pytest.mark.parametrize("bits", [0, 1, 2, (1 << 28) - 1, 1 << 28,
+                                      WIDE_MASK])
+    def test_edge_cases(self, function, bits):
+        assert function(bits) == bin(bits).count("1")
+
+    @given(st.integers(min_value=0, max_value=(1 << 512) - 1))
+    def test_random(self, bits):
+        assert mds_mod.popcount(bits) == bin(bits).count("1")
+        assert mds_mod._bin_popcount(bits) == bin(bits).count("1")
