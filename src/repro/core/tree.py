@@ -20,9 +20,9 @@ from __future__ import annotations
 import time
 
 from ..config import DCTreeConfig
-from ..cube.aggregation import AggregateVector, StreamingAggregator
+from ..cube.aggregation import AggregateVector, StreamingAggregator, check_aggregate
 from ..errors import QueryError, RecordNotFoundError, TreeError
-from ..obs import ExplainResult, Observability, ProfileSession, QueryProfile
+from ..obs import ExplainResult, Observability, ProfileSession, QueryProfile, traced
 from ..storage import page as page_mod
 from ..storage.tracker import StorageTracker
 from . import mds as mds_mod
@@ -69,6 +69,70 @@ class _BatchState:
     def discard(self, page_id):
         """Forget a page freed before the flush (nothing left to write)."""
         self.pending.pop(page_id, None)
+
+
+# ----------------------------------------------------------------------
+# telemetry hooks: opening attributes and outcomes of the traced spans
+# ----------------------------------------------------------------------
+
+
+def _inserted(obs, span, _result, tree, _record):
+    span.set(tree_version=tree._tree_version, records=tree._n_records)
+    obs.counter("dctree_inserts_total", "Records inserted.").inc()
+
+
+def _batch_applied(obs, span, pages_written, tree, records):
+    span.set(tree_version=tree._tree_version, pages_written=pages_written)
+    obs.counter("dctree_batch_inserts_total", "Batches inserted.").inc()
+    obs.counter(
+        "dctree_batch_records_total", "Records inserted through batches."
+    ).inc(len(records))
+    obs.registry.histogram(
+        "dctree_batch_pages_per_record",
+        "Amortized pages written per batched record.",
+    ).observe(pages_written / len(records))
+
+
+def _split_started(tree, node):
+    return {
+        "node": node.page_id, "kind": "leaf" if node.is_leaf else "dir",
+        "entries": node.entry_count, "mds": node.mds.digest()[:12],
+    }
+
+
+def _split_finished(obs, span, pair, tree, node):
+    kind = "leaf" if node.is_leaf else "dir"
+    if pair is None:
+        span.set(outcome="supernode", n_blocks=node.n_blocks)
+        obs.counter(
+            "dctree_supernode_growths_total",
+            "Overfull nodes that grew a block instead of splitting.",
+            kind=kind,
+        ).inc()
+    else:
+        span.set(outcome="split", sizes=[n.entry_count for n in pair])
+        obs.counter(
+            "dctree_splits_total", "Successful node splits.", kind=kind,
+        ).inc()
+
+
+def _answered(obs, span, result, tree, *_args):
+    span.set(tree_version=tree._tree_version)
+    if isinstance(result, ExplainResult):
+        obs.counter(
+            "dctree_explains_total", "Profiled (EXPLAIN) queries by kind.",
+            kind=result.profile.kind,
+        ).inc()
+
+
+def _range_answered(obs, span, result, tree, range_mds, *_args):
+    span.set(mds=range_mds.digest()[:12])
+    _answered(obs, span, result, tree)
+
+
+def _deleted(obs, span, _result, tree, _record):
+    span.set(tree_version=tree._tree_version, records=tree._n_records)
+    obs.counter("dctree_deletes_total", "Records deleted.").inc()
 
 
 class DCTree:
@@ -144,11 +208,6 @@ class DCTree:
     def note_mutation(self):
         """Bump :attr:`tree_version` (call after any structural change)."""
         self._tree_version += 1
-
-    @property
-    def mutation_sink(self):
-        """The attached durability sink (None when the tree is volatile)."""
-        return self._mutation_sink
 
     def set_mutation_sink(self, sink):
         """Attach a durability sink; pass ``None`` to detach.
@@ -230,6 +289,7 @@ class DCTree:
     # insertion (Fig. 4)
     # ------------------------------------------------------------------
 
+    @traced("insert", finish=_inserted)
     def insert(self, record):
         """Insert one data record, keeping the index fully up to date.
 
@@ -239,26 +299,20 @@ class DCTree:
         recoverable and a crash mid-insert loses only the unacknowledged
         one.
         """
-        if self._obs is None:
-            return self._insert_impl(record)
-        with self._obs.span("insert") as span:
-            self._insert_impl(record)
-            span.set(tree_version=self._tree_version,
-                     records=self._n_records)
-        self._obs.counter("dctree_inserts_total",
-                          "Records inserted.").inc()
-
-    def _insert_impl(self, record):
         self.note_mutation()
+        self._insert_one(record)
+        self._n_records += 1
+        if self._mutation_sink is not None:
+            self._mutation_sink.record_insert(record)
+
+    def _insert_one(self, record):
+        """One Fig. 4 descent from the root; grows the root on a split."""
         # Dynamic hierarchy maintenance (§3.1): assigning/looking up the
         # level-tagged ID of each of the record's attribute values.
         self.tracker.cpu(2 * self.schema.n_flat_attributes)
         split_result = self._insert_into(self._root, record)
         if split_result is not None:
             self._grow_root(split_result)
-        self._n_records += 1
-        if self._mutation_sink is not None:
-            self._mutation_sink.record_insert(record)
 
     def insert_batch(self, records):
         """Insert many records, charging writes once per touched node.
@@ -291,27 +345,14 @@ class DCTree:
             return 0
         if self._batch is not None:
             raise TreeError("insert_batch cannot be nested")
-        if self._obs is None:
-            self._insert_batch_impl(records)
-            return len(records)
-        with self._obs.span("insert_batch", records=len(records)) as span:
-            pages_written = self._insert_batch_impl(records)
-            span.set(tree_version=self._tree_version,
-                     pages_written=pages_written)
-        self._obs.counter(
-            "dctree_batch_inserts_total", "Batches inserted."
-        ).inc()
-        self._obs.counter(
-            "dctree_batch_records_total",
-            "Records inserted through batches.",
-        ).inc(len(records))
-        self._obs.registry.histogram(
-            "dctree_batch_pages_per_record",
-            "Amortized pages written per batched record.",
-        ).observe(pages_written / len(records))
+        self._apply_batch(records)
         return len(records)
 
-    def _insert_batch_impl(self, records):
+    @traced("insert_batch",
+            start=lambda tree, records: {"records": len(records)},
+            finish=_batch_applied)
+    def _apply_batch(self, records):
+        """Insert a non-empty batch; returns the pages its flush wrote."""
         # One version bump acknowledges the whole batch: the result
         # cache (keyed on tree_version) flushes exactly once, and
         # readers observe the batch atomically.
@@ -319,10 +360,7 @@ class DCTree:
         batch = self._batch = _BatchState()
         try:
             for record in records:
-                self.tracker.cpu(2 * self.schema.n_flat_attributes)
-                split_result = self._insert_into(self._root, record)
-                if split_result is not None:
-                    self._grow_root(split_result)
+                self._insert_one(record)
                 self._n_records += 1
             pages_written = self._flush_batch(batch)
         finally:
@@ -375,7 +413,7 @@ class DCTree:
             self._batch.extend(node.page_id)
         if node.is_leaf:
             node.records.append(record)
-            if self._overfull(node):
+            if self._overfull(node, node.n_blocks):
                 return self._split_or_grow(node)
             return None
         child, position = self._choose_subtree(node, record)
@@ -385,10 +423,17 @@ class DCTree:
             # The node is already pinned by this descent (accessed and
             # charged above); the splice only dirties it again.
             self._charge_node_write(node.page_id)
-            if self._overfull(node):
+            if self._overfull(node, node.n_blocks):
                 return self._split_or_grow(node)
         return None
 
+    @traced("choose_subtree",
+            start=lambda tree, node, record: {
+                "node": node.page_id, "fanout": len(node.children),
+            },
+            finish=lambda obs, span, chosen, *_args: span.set(
+                child=chosen[0].page_id, position=chosen[1],
+            ))
     def _choose_subtree(self, node, record):
         """Pick the son the record descends into; returns (child, position).
 
@@ -398,17 +443,6 @@ class DCTree:
         (dimension, level) pair is resolved once per insert, not once per
         child — siblings overwhelmingly share relevant levels.
         """
-        if self._obs is None:
-            return self._choose_subtree_impl(node, record)
-        with self._obs.span(
-            "choose_subtree", node=node.page_id,
-            fanout=len(node.children),
-        ) as span:
-            child, position = self._choose_subtree_impl(node, record)
-            span.set(child=child.page_id, position=position)
-            return child, position
-
-    def _choose_subtree_impl(self, node, record):
         best = None
         best_key = None
         best_position = 0
@@ -462,21 +496,19 @@ class DCTree:
     # splitting (Fig. 5) and supernode management
     # ------------------------------------------------------------------
 
-    def _capacity(self, node):
-        base = (
-            self.config.leaf_capacity if node.is_leaf
-            else self.config.dir_capacity
-        )
-        return base * node.n_blocks
-
-    def _overfull(self, node):
-        """Has the node outgrown its blocks (per the capacity mode)?"""
+    def _overfull(self, node, n_blocks):
+        """Would the node overflow ``n_blocks`` blocks (per the capacity
+        mode)?  ``node.n_blocks`` asks whether it outgrew its own."""
         if self.config.capacity_mode == "entries":
-            return node.entry_count > self._capacity(node)
+            base = (
+                self.config.leaf_capacity if node.is_leaf
+                else self.config.dir_capacity
+            )
+            return node.entry_count > base * n_blocks
         page_size = self.tracker.config.page_size
         return node.byte_size(
             self.schema.n_flat_attributes, self.schema.n_measures
-        ) > page_size * node.n_blocks
+        ) > page_size * n_blocks
 
     def _blocks_needed(self, node):
         """Blocks a freshly materialized node occupies."""
@@ -493,37 +525,13 @@ class DCTree:
             self.tracker.config.page_size,
         )
 
+    @traced("hierarchy_split", start=_split_started, finish=_split_finished)
     def _split_or_grow(self, node):
         """Split the overfull node or grow it into/as a supernode.
 
         Returns a (left, right) node pair on success, None when the node
         became (or stays) a supernode.
         """
-        if self._obs is None:
-            return self._split_or_grow_impl(node)
-        kind = "leaf" if node.is_leaf else "dir"
-        with self._obs.span(
-            "hierarchy_split", node=node.page_id, kind=kind,
-            entries=node.entry_count, mds=node.mds.digest()[:12],
-        ) as span:
-            pair = self._split_or_grow_impl(node)
-            if pair is None:
-                span.set(outcome="supernode", n_blocks=node.n_blocks)
-                self._obs.counter(
-                    "dctree_supernode_growths_total",
-                    "Overfull nodes that grew a block instead of splitting.",
-                    kind=kind,
-                ).inc()
-            else:
-                span.set(outcome="split",
-                         sizes=[n.entry_count for n in pair])
-                self._obs.counter(
-                    "dctree_splits_total", "Successful node splits.",
-                    kind=kind,
-                ).inc()
-            return pair
-
-    def _split_or_grow_impl(self, node):
         if node.is_leaf:
             adapt = self._make_record_adapter(node.records)
             n_entries = len(node.records)
@@ -710,6 +718,9 @@ class DCTree:
             range_mds, entry_mds, self.hierarchies, check_containment
         )
 
+    @traced("range_query",
+            start=lambda tree, range_mds, op, measure, explain: {"op": op},
+            finish=_range_answered)
     def range_query(self, range_mds, op="sum", measure=0, explain=False):
         """Aggregate ``op`` of one measure over the cells in ``range_mds``.
 
@@ -725,17 +736,9 @@ class DCTree:
         :class:`~repro.obs.ExplainResult` carrying a per-level
         :class:`~repro.obs.QueryProfile` whose page/CPU totals reconcile
         exactly with the tracker delta of the call.  Charges are
-        bit-identical to the plain call (see :meth:`_explained`).
+        bit-identical to the plain call (see :meth:`_answer`).
         """
-        if self._obs is None:
-            return self._range_query_entry(range_mds, op, measure, explain)
-        with self._obs.span("range_query", op=op) as span:
-            result = self._range_query_entry(range_mds, op, measure, explain)
-            span.set(mds=range_mds.digest()[:12],
-                     tree_version=self._tree_version)
-            return result
-
-    def _range_query_entry(self, range_mds, op, measure, explain):
+        check_aggregate(op)
         measure_index = self._measure_index(measure)
         self._check_query_mds(range_mds)
         # use_materialized_aggregates changes the traversal (and therefore
@@ -743,76 +746,62 @@ class DCTree:
         # the ablation knob mid-life must recompute, not replay.
         key = ("range", range_mds.cache_key(), op, measure_index,
                self.config.use_materialized_aggregates)
-        if explain:
-            return self._explained(
-                "range_query", op, measure_index, key,
-                lambda: self._range_query_computed(
-                    range_mds, op, measure_index
-                ),
-            )
-        cache = self._result_cache
-        if cache is None:
-            return self._range_query_computed(range_mds, op, measure_index)
-        entry = cache.fetch(key, self._tree_version, self.tracker)
-        if entry is not None:
-            return entry.value
-        with self.tracker.trace_accesses() as trace:
-            cpu_before = self.tracker.cpu_units
-            value = self._range_query_computed(range_mds, op, measure_index)
-            cpu_units = self.tracker.cpu_units - cpu_before
-        cache.store(key, self._tree_version, value, trace, cpu_units)
-        return value
-
-    def _explained(self, kind, op, measure_index, cache_key, compute,
-                   store_value=None):
-        """Run ``compute`` under a :class:`ProfileSession`; return both.
-
-        Charging is bit-identical to the unprofiled call: on a cache miss
-        the computation runs under the same access trace and stores the
-        same entry; on a *hit* the traversal is recomputed instead of
-        replayed — the stored trace was recorded at this very tree
-        version, so recomputing makes exactly the charges the replay
-        would have (the cache's counter-invisibility invariant), while
-        giving the profiler a real traversal to attribute.
-        """
-        profile = QueryProfile(
-            kind, op, measure_index, self._tree_version
+        return self._answer(
+            "range_query", op, measure_index, key, explain,
+            lambda: self._range_query_computed(range_mds, op, measure_index),
         )
+
+    def _answer(self, kind, op, measure_index, key, explain, compute,
+                copy=None):
+        """Answer a query through the result cache, profiled on EXPLAIN.
+
+        A hit replays the stored charges and hands out the stored value
+        (a ``copy`` of it when given — callers may mutate what they get).
+        A miss runs ``compute`` under an access trace and stores its value
+        (again a ``copy`` when given).  With ``explain`` the answer comes
+        back as an :class:`ExplainResult` whose charges are bit-identical
+        to the plain call: a miss traces and stores exactly as above, and
+        a *hit* recomputes instead of replaying — the stored trace was
+        recorded at this very tree version, so recomputing makes exactly
+        the charges the replay would have (the cache's
+        counter-invisibility invariant), while giving the profiler a real
+        traversal to attribute.
+        """
         cache = self._result_cache
-        cached = None
-        if cache is None:
-            profile.cache_outcome = "disabled"
-        else:
-            cached = cache.peek(cache_key, self._tree_version)
-            profile.cache_outcome = "hit" if cached is not None else "miss"
-        started = time.perf_counter()
-        profile.before = self.tracker.snapshot()
-        session = ProfileSession(profile, self.tracker)
-        self._profile = session
+        store = cache is not None
+        if explain:
+            profile = QueryProfile(kind, op, measure_index, self._tree_version)
+            if store:
+                store = cache.peek(key, self._tree_version) is None
+                profile.cache_outcome = "miss" if store else "hit"
+            else:
+                profile.cache_outcome = "disabled"
+            started = time.perf_counter()
+            profile.before = self.tracker.snapshot()
+            session = self._profile = ProfileSession(profile, self.tracker)
+        elif store:
+            entry = cache.fetch(key, self._tree_version, self.tracker)
+            if entry is not None:
+                return entry.value if copy is None else copy(entry.value)
         try:
-            if cache is not None and cached is None:
+            if store:
                 with self.tracker.trace_accesses() as trace:
                     cpu_before = self.tracker.cpu_units
                     value = compute()
                     cpu_units = self.tracker.cpu_units - cpu_before
                 cache.store(
-                    cache_key, self._tree_version,
-                    value if store_value is None else store_value(value),
-                    trace, cpu_units,
+                    key, self._tree_version,
+                    value if copy is None else copy(value), trace, cpu_units,
                 )
             else:
                 value = compute()
         finally:
-            self._profile = None
-            session.finish()
-            profile.after = self.tracker.snapshot()
-            profile.wall_seconds = time.perf_counter() - started
-        if self._obs is not None:
-            self._obs.counter(
-                "dctree_explains_total",
-                "Profiled (EXPLAIN) queries by kind.", kind=kind,
-            ).inc()
-        return ExplainResult(value, profile)
+            if explain:
+                self._profile = None
+                session.finish()
+                profile.after = self.tracker.snapshot()
+                profile.wall_seconds = time.perf_counter() - started
+        return ExplainResult(value, profile) if explain else value
 
     def _range_query_computed(self, range_mds, op, measure_index):
         """The actual Fig. 7 traversal behind :meth:`range_query`."""
@@ -837,12 +826,10 @@ class DCTree:
         if profile is not None:
             profile.visit(depth, node.n_blocks)
         if node.is_leaf:
-            self.tracker.cpu(len(node.records) * self.schema.n_dimensions)
-            for record in node.records:
-                if mds_mod.covers_record(range_mds, record, self.hierarchies):
-                    value = record.measures[measure_index]
-                    if best is None or sign * value > sign * best:
-                        best = value
+            for record in self._leaf_matches(node, range_mds):
+                value = record.measures[measure_index]
+                if best is None or sign * value > sign * best:
+                    best = value
             if profile is not None:
                 profile.scanned(depth, len(node.records))
                 profile.charge_cpu(depth)
@@ -909,14 +896,7 @@ class DCTree:
     def _estimate_node(self, node, range_mds, depth_budget):
         self.tracker.access_node(node.page_id, node.n_blocks)
         if node.is_leaf:
-            self.tracker.cpu(len(node.records) * self.schema.n_dimensions)
-            return float(
-                sum(
-                    1 for record in node.records
-                    if mds_mod.covers_record(range_mds, record,
-                                             self.hierarchies)
-                )
-            )
+            return float(len(self._leaf_matches(node, range_mds)))
         estimate = 0.0
         for child in node.children:
             outcome = self._classify_entry(range_mds, child.mds)
@@ -980,16 +960,28 @@ class DCTree:
         self._collect_records(self._root, range_mds, result)
         return result
 
+    def _leaf_matches(self, node, range_mds):
+        """The records of data node ``node`` inside ``range_mds``.
+
+        Charges one CPU unit per record and dimension, then tests each
+        record with :func:`~repro.core.mds.covers_record` — looked up on
+        the module at call time, so a wrapper installed there sees every
+        leaf test.
+        """
+        self.tracker.cpu(len(node.records) * self.schema.n_dimensions)
+        covers_record = mds_mod.covers_record
+        hierarchies = self.hierarchies
+        return [record for record in node.records
+                if covers_record(range_mds, record, hierarchies)]
+
     def _query_node(self, node, range_mds, aggregator, depth=0):
         self.tracker.access_node(node.page_id, node.n_blocks)
         profile = self._profile
         if profile is not None:
             profile.visit(depth, node.n_blocks)
         if node.is_leaf:
-            self.tracker.cpu(len(node.records) * self.schema.n_dimensions)
-            for record in node.records:
-                if mds_mod.covers_record(range_mds, record, self.hierarchies):
-                    aggregator.add_record(record)
+            for record in self._leaf_matches(node, range_mds):
+                aggregator.add_record(record)
             if profile is not None:
                 profile.scanned(depth, len(node.records))
                 profile.charge_cpu(depth)
@@ -1014,10 +1006,7 @@ class DCTree:
     def _collect_records(self, node, range_mds, result):
         self.tracker.access_node(node.page_id, node.n_blocks)
         if node.is_leaf:
-            self.tracker.cpu(len(node.records) * self.schema.n_dimensions)
-            for record in node.records:
-                if mds_mod.covers_record(range_mds, record, self.hierarchies):
-                    result.append(record)
+            result.extend(self._leaf_matches(node, range_mds))
             return
         for child in node.children:
             outcome = self._classify_entry(
@@ -1072,6 +1061,11 @@ class DCTree:
             value: aggregator.result() for value, aggregator in groups.items()
         }
 
+    @traced("group_by",
+            start=lambda tree, dim_index, level, op, *_args: {
+                "dim": dim_index, "level": level, "op": op,
+            },
+            finish=_answered)
     def group_by_aggregators(self, dim_index, level, op="sum", measure=0,
                              range_mds=None, explain=False):
         """Like :meth:`group_by` but returns the live aggregators.
@@ -1080,21 +1074,7 @@ class DCTree:
         market segments repeat under every nation) combine the underlying
         summaries instead of the finished scalars.
         """
-        if self._obs is None:
-            return self._group_by_entry(
-                dim_index, level, op, measure, range_mds, explain
-            )
-        with self._obs.span(
-            "group_by", dim=dim_index, level=level, op=op,
-        ) as span:
-            result = self._group_by_entry(
-                dim_index, level, op, measure, range_mds, explain
-            )
-            span.set(tree_version=self._tree_version)
-            return result
-
-    def _group_by_entry(self, dim_index, level, op, measure, range_mds,
-                        explain):
+        check_aggregate(op)
         measure_index = self._measure_index(measure)
         if not 0 <= dim_index < self.schema.n_dimensions:
             raise QueryError("dimension index %r out of range" % (dim_index,))
@@ -1113,42 +1093,17 @@ class DCTree:
             range_mds.cache_key(),
             self.config.use_materialized_aggregates,
         )
-        if explain:
-            return self._explained(
-                "group_by", op, measure_index, key,
-                lambda: self._group_by_computed(
-                    dim_index, level, op, measure_index, range_mds
-                ),
-                store_value=lambda groups: {
-                    value: aggregator.copy()
-                    for value, aggregator in groups.items()
-                },
-            )
-        cache = self._result_cache
-        if cache is None:
-            return self._group_by_computed(
+        # Copies in and out of the cache: callers merge groups onwards
+        # (e.g. by label) and must not mutate the memoized aggregators.
+        return self._answer(
+            "group_by", op, measure_index, key, explain,
+            lambda: self._group_by_computed(
                 dim_index, level, op, measure_index, range_mds
-            )
-        entry = cache.fetch(key, self._tree_version, self.tracker)
-        if entry is not None:
-            # Hand out copies: callers merge groups onwards (e.g. by
-            # label) and must not mutate the memoized aggregators.
-            return {
-                value: aggregator.copy()
-                for value, aggregator in entry.value.items()
-            }
-        with self.tracker.trace_accesses() as trace:
-            cpu_before = self.tracker.cpu_units
-            groups = self._group_by_computed(
-                dim_index, level, op, measure_index, range_mds
-            )
-            cpu_units = self.tracker.cpu_units - cpu_before
-        cache.store(
-            key, self._tree_version,
-            {value: aggregator.copy() for value, aggregator in groups.items()},
-            trace, cpu_units,
+            ),
+            copy=lambda groups: {
+                value: aggregator.copy() for value, aggregator in groups.items()
+            },
         )
-        return groups
 
     def _group_by_computed(self, dim_index, level, op, measure_index,
                            range_mds):
@@ -1168,12 +1123,10 @@ class DCTree:
             profile.visit(depth, node.n_blocks)
         hierarchy = self.hierarchies[dim_index]
         if node.is_leaf:
-            self.tracker.cpu(len(node.records) * self.schema.n_dimensions)
-            for record in node.records:
-                if mds_mod.covers_record(range_mds, record, self.hierarchies):
-                    value = record.value_at_level(dim_index, level)
-                    self._group_for(value, op, measure_index, groups) \
-                        .add_record(record)
+            for record in self._leaf_matches(node, range_mds):
+                value = record.value_at_level(dim_index, level)
+                self._group_for(value, op, measure_index, groups) \
+                    .add_record(record)
             if profile is not None:
                 profile.scanned(depth, len(node.records))
                 profile.charge_cpu(depth)
@@ -1217,6 +1170,7 @@ class DCTree:
     # deletion (the 'fully dynamic' complement of insert)
     # ------------------------------------------------------------------
 
+    @traced("delete", finish=_deleted)
     def delete(self, record):
         """Remove one record (by value); raise if it is not indexed.
 
@@ -1225,26 +1179,18 @@ class DCTree:
         *and* minimality keep holding.  Empty nodes are unlinked,
         underflowing nodes are condensed (their contents reinserted, as in
         the R-tree), shrunk supernodes give blocks back, and a root
-        directory left with a single child is collapsed.
+        directory left with a single child is collapsed.  A record that is
+        not indexed raises :class:`RecordNotFoundError` without bumping
+        :attr:`tree_version`: nothing changed, so cached answers stay.
         """
-        if self._obs is None:
-            return self._delete_impl(record)
-        with self._obs.span("delete") as span:
-            self._delete_impl(record)
-            span.set(tree_version=self._tree_version,
-                     records=self._n_records)
-        self._obs.counter("dctree_deletes_total",
-                          "Records deleted.").inc()
-
-    def _delete_impl(self, record):
-        self.note_mutation()
         orphans = []
         if not self._delete_from(self._root, record, orphans):
             raise RecordNotFoundError("record not found: %r" % (record,))
+        self.note_mutation()
         self._n_records -= 1
         self._collapse_root()
         for orphan in orphans:
-            self._reinsert(orphan)
+            self._insert_one(orphan)
         if self._mutation_sink is not None:
             self._mutation_sink.record_delete(record)
 
@@ -1253,13 +1199,6 @@ class DCTree:
         if not root.is_leaf and len(root.children) == 1:
             self._root = root.children[0]
             self._free_node(root.page_id, root.n_blocks)
-
-    def _reinsert(self, record):
-        """Insert without touching the record count (condense support)."""
-        self.tracker.cpu(2 * self.schema.n_flat_attributes)
-        split_result = self._insert_into(self._root, record)
-        if split_result is not None:
-            self._grow_root(split_result)
 
     def _delete_from(self, node, record, orphans):
         self.tracker.access_node(node.page_id, node.n_blocks)
@@ -1289,7 +1228,7 @@ class DCTree:
             self._free_node(child.page_id, child.n_blocks)
             return
         if child.is_supernode:
-            while child.n_blocks > 1 and not self._needs_blocks(
+            while child.n_blocks > 1 and not self._overfull(
                 child, child.n_blocks - 1
             ):
                 child.n_blocks -= 1
@@ -1301,19 +1240,6 @@ class DCTree:
         if child.entry_count < min_fanout and len(parent.children) > 1:
             parent.children.remove(child)
             self._collect_orphans(child, orphans)
-
-    def _needs_blocks(self, node, n_blocks):
-        """Would the node overflow if shrunk to ``n_blocks`` blocks?"""
-        if self.config.capacity_mode == "entries":
-            base = (
-                self.config.leaf_capacity if node.is_leaf
-                else self.config.dir_capacity
-            )
-            return node.entry_count > base * n_blocks
-        page_size = self.tracker.config.page_size
-        return node.byte_size(
-            self.schema.n_flat_attributes, self.schema.n_measures
-        ) > page_size * n_blocks
 
     def _collect_orphans(self, node, orphans):
         """Gather every record under ``node`` and free its pages."""
@@ -1377,7 +1303,7 @@ class DCTree:
                     "child level %d exceeds parent level %d in dim %d"
                     % (level, parent_levels[dim], dim)
                 )
-        if self._overfull(node):
+        if self._overfull(node, node.n_blocks):
             raise TreeError(
                 "node overfull: %d entries in %d block(s)"
                 % (node.entry_count, node.n_blocks)

@@ -38,12 +38,13 @@ from .metrics import (
     observe_tree_structure,
     warehouse_registry,
 )
-from .trace import Span, Tracer
+from .trace import Span, Tracer, traced
 
 __all__ = [
     "Observability",
     "Span",
     "Tracer",
+    "traced",
     "Counter",
     "Gauge",
     "Histogram",

@@ -364,7 +364,7 @@ def observe_tree_structure(registry, tree, prefix="dctree"):
 def observe_dctree(registry, tree):
     """Refresh every tree-derived gauge family: tracker, cache, structure."""
     observe_tracker(registry, tree.tracker)
-    observe_result_cache(registry, getattr(tree, "result_cache", None))
+    observe_result_cache(registry, tree.result_cache)
     observe_tree_structure(registry, tree)
     registry.gauge("dctree_tree_version",
                    "Monotone mutation counter.").set(tree.tree_version)
@@ -378,7 +378,7 @@ def warehouse_registry(warehouse):
     builds a fresh one; either way the tracker/cache/structure gauges
     are refreshed before returning.
     """
-    obs = getattr(warehouse, "observability", None)
+    obs = warehouse.observability
     registry = obs.registry if obs is not None else MetricsRegistry()
     index = warehouse.index
     if warehouse.backend == "dc-tree":
@@ -397,7 +397,7 @@ def describe_result_cache(tree):
     entries of 128, 1 eviction(s), 2 invalidation(s)"`` — or a disabled
     notice for trees without a cache.
     """
-    cache = getattr(tree, "result_cache", None)
+    cache = tree.result_cache
     if cache is None:
         return "result-cache: disabled"
     stats = cache.stats()

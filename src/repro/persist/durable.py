@@ -31,6 +31,7 @@ from __future__ import annotations
 import os
 
 from ..errors import StorageError
+from ..obs import traced
 from .io import record_to_labels, save_warehouse
 from .recovery import recover_warehouse
 from .wal import OP_BATCH, OP_DELETE, OP_INSERT, OP_REBASE, WriteAheadLog
@@ -72,6 +73,12 @@ class WalSink:
         self.wal.append(OP_REBASE, n_records)
         if self._on_rebase is not None:
             self._on_rebase()
+
+
+def _checkpointed(obs, span, _result, session):
+    span.set(wal_lsn=session.wal.last_lsn)
+    obs.counter("checkpoints_total",
+                "Atomic checkpoints written by the session.").inc()
 
 
 class DurableWarehouse:
@@ -213,18 +220,11 @@ class DurableWarehouse:
     def __len__(self):
         return len(self.warehouse)
 
+    @traced("checkpoint", owner="warehouse.observability",
+            start=lambda session: {"directory": session.directory},
+            finish=_checkpointed)
     def checkpoint(self):
         """Fold the WAL into a fresh atomic checkpoint and truncate it."""
-        obs = self.warehouse.index.observability
-        if obs is None:
-            return self._checkpoint_impl()
-        with obs.span("checkpoint", directory=self.directory) as span:
-            self._checkpoint_impl()
-            span.set(wal_lsn=self.wal.last_lsn)
-        obs.counter("checkpoints_total",
-                    "Atomic checkpoints written by the session.").inc()
-
-    def _checkpoint_impl(self):
         self.wal.sync()
         save_warehouse(
             self.warehouse, self.checkpoint_path(self.directory),

@@ -22,6 +22,7 @@ import os
 import time
 
 from ..errors import RecordNotFoundError, ReproError, StorageError
+from ..obs import traced
 from ..workload.queries import query_from_labels
 from . import wal as wal_mod
 from .io import read_warehouse_file, record_from_labels, warehouse_from_dict
@@ -213,6 +214,16 @@ def _audit(warehouse, report):
             )
 
 
+def _replayed(obs, span, _result, _warehouse, _wal_path, report, _faults):
+    span.set(applied=report.applied_total,
+             bytes_scanned=report.wal_bytes_scanned,
+             torn_tail=report.torn_tail)
+    report.publish_metrics(obs.registry)
+
+
+@traced("recovery.replay", owner="observability",
+        start=lambda warehouse, wal_path, *_args: {"wal": str(wal_path)},
+        finish=_replayed)
 def _replay_wal(warehouse, wal_path, report, faults):
     """Scan + replay the WAL onto the loaded checkpoint (report-driven)."""
     try:
@@ -294,17 +305,7 @@ def recover_warehouse(checkpoint_path, wal_path=None, config=None,
         report.checkpoint_age_seconds = None
 
     if wal_path is not None:
-        obs = warehouse.index.observability
-        if obs is not None:
-            with obs.span("recovery.replay", wal=str(wal_path)) as span:
-                _replay_wal(warehouse, wal_path, report, faults)
-                span.set(applied=report.applied_total,
-                         bytes_scanned=report.wal_bytes_scanned,
-                         torn_tail=report.torn_tail)
-        else:
-            _replay_wal(warehouse, wal_path, report, faults)
-        if obs is not None:
-            report.publish_metrics(obs.registry)
+        _replay_wal(warehouse, wal_path, report, faults)
 
     try:
         _audit(warehouse, report)

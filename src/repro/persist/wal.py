@@ -46,6 +46,7 @@ import struct
 import zlib
 
 from ..errors import StorageError
+from ..obs import traced
 from ..storage import faults as faults_mod
 
 #: File magic; 8 bytes so records start aligned.
@@ -64,6 +65,12 @@ OP_REBASE = "rebase"
 #: it, never a prefix — and costs one append (hence one fsync at
 #: ``fsync_interval=1``) per acknowledged batch.
 OP_BATCH = "insert_batch"
+
+
+def _appended(obs, span, lsn, _wal, op, _data):
+    span.set(lsn=lsn)
+    obs.counter("wal_appends_total", "WAL records appended by op.",
+                op=op).inc()
 
 
 def encode_record(lsn, op, data):
@@ -118,6 +125,8 @@ class WriteAheadLog:
         """LSN of the most recently appended (or replayed) record."""
         return self._lsn
 
+    @traced("wal.append", owner="observability",
+            start=lambda wal, op, data: {"op": op}, finish=_appended)
     def append(self, op, data):
         """Append one mutation record; returns its LSN.
 
@@ -125,17 +134,6 @@ class WriteAheadLog:
         fsynced per the batching policy) — appending *before* the caller
         acknowledges the mutation is what makes the mutation durable.
         """
-        obs = self.observability
-        if obs is None:
-            return self._append_impl(op, data)
-        with obs.span("wal.append", op=op) as span:
-            lsn = self._append_impl(op, data)
-            span.set(lsn=lsn)
-        obs.counter("wal_appends_total", "WAL records appended by op.",
-                    op=op).inc()
-        return lsn
-
-    def _append_impl(self, op, data):
         lsn = self._lsn + 1
         record = encode_record(lsn, op, data)
         faults_mod.write_through(self.faults, self._handle, "wal.append",

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro import DCTree, DCTreeConfig, TPCDGenerator
 from repro.core.mds import MDS
+from repro.cube.record import DataRecord
 from repro.core.stats import collect_stats
 from repro.errors import QueryError, RecordNotFoundError, TreeError
 from repro.workload.queries import QueryGenerator, query_from_labels
@@ -263,6 +264,27 @@ class TestDelete:
         ghost = toy_record(schema, "DE", "Munich", "red", 999.0)
         with pytest.raises(RecordNotFoundError):
             tree.delete(ghost)
+
+    def test_failed_delete_keeps_version_and_cache(self, tpcd_schema,
+                                                   tpcd_records_500):
+        tree = DCTree(tpcd_schema)
+        tree.insert_batch(tpcd_records_500)
+        query = query_from_labels(
+            tpcd_schema, {"Customer": ("Region", ["EUROPE"])}
+        )
+        answer = tree.range_query(query.mds)
+        version = tree.tree_version
+        before = tree.result_cache.stats()
+        ghost = DataRecord(tpcd_records_500[0].paths, (-1.0,))
+        with pytest.raises(RecordNotFoundError):
+            tree.delete(ghost)
+        assert tree.tree_version == version
+        assert tree.result_cache.stats().invalidations == before.invalidations
+        assert tree.range_query(query.mds) == answer  # the repeat hits
+        after = tree.result_cache.stats()
+        assert (after.hits, after.misses, after.invalidations) == (
+            before.hits + 1, before.misses, before.invalidations
+        )
 
     def test_delete_all_then_queries_empty(self):
         schema, tree, records = build_toy_tree()

@@ -158,3 +158,39 @@ def test_groups_partition_the_total(rows):
         )
         counts = tree.group_by(dim, level, op="count")
         assert sum(counts.values()) == len(records)
+
+
+def _counters(tracker):
+    snap = tracker.snapshot()
+    return (snap.node_accesses, snap.buffer_hits, snap.buffer_misses,
+            snap.page_writes, snap.cpu_units)
+
+
+class TestUnknownAggregate:
+    """A bad ``op`` is rejected before any traversal or cache lookup."""
+
+    @pytest.mark.parametrize("backend", ["dc-tree", "x-tree", "scan"])
+    def test_warehouse_group_by_does_no_work(self, backend):
+        warehouse = Warehouse(build_toy_schema(), backend)
+        for country, city, color, sales in TOY_ROWS:
+            warehouse.insert(((country, city), (color,)), (sales,))
+        before = _counters(warehouse.tracker)
+        with pytest.raises(QueryError):
+            warehouse.group_by("Geo", "Country", op="median")
+        assert _counters(warehouse.tracker) == before
+        if backend == "dc-tree":
+            assert warehouse.index.result_cache.stats().misses == 0
+
+    @pytest.mark.parametrize("explain", [False, True])
+    def test_tree_entry_points_do_no_work(self, explain):
+        schema, tree, _records = build_tree_and_records()
+        query = query_from_labels(schema, {})
+        before = _counters(tree.tracker)
+        with pytest.raises(QueryError):
+            tree.range_query(query.mds, op="median", explain=explain)
+        with pytest.raises(QueryError):
+            tree.group_by_aggregators(0, 1, op="median", explain=explain)
+        with pytest.raises(QueryError):
+            tree.group_by(0, 1, op="median", explain=explain)
+        assert _counters(tree.tracker) == before
+        assert tree.result_cache.stats().lookups == 0

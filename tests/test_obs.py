@@ -31,6 +31,7 @@ from repro.obs import (
     Observability,
     Tracer,
     observe_dctree,
+    traced,
     warehouse_registry,
 )
 from repro.persist.durable import DurableWarehouse
@@ -175,6 +176,75 @@ class TestObservability:
         assert counter.snapshot_value() == 2
         histogram = obs.registry.get("repro_span_seconds", name="insert")
         assert histogram.snapshot_value()["count"] == 2
+
+
+class _Traced:
+    """A toy owner of one traced operation."""
+
+    def __init__(self, obs):
+        self._obs = obs
+        self.finished = []
+
+    @traced("double",
+            start=lambda owner, value, scale: {"value": value, "scale": scale},
+            finish=lambda obs, span, result, owner, value, scale: (
+                span.set(result=result), owner.finished.append(result)
+            ))
+    def double(self, value, scale=2):
+        """Multiply ``value`` by ``scale``."""
+        if value < 0:
+            raise ValueError("negative")
+        return value * scale
+
+
+class TestTraced:
+    def test_off_calls_through_without_hooks(self):
+        owner = _Traced(None)
+        assert owner.double(3) == 6
+        assert owner.double(3, scale=3) == 9
+        assert owner.finished == []
+        assert _Traced.double.__doc__ == "Multiply ``value`` by ``scale``."
+
+    def test_on_opens_span_with_start_and_finish(self):
+        owner = _Traced(Observability(clock=FakeClock()))
+        assert owner.double(3, scale=3) == 9
+        assert owner.double(4) == 8
+        first, second = owner._obs.tracer.roots
+        assert first.name == "double"
+        assert first.attributes == {"value": 3, "scale": 3, "result": 9}
+        assert second.attributes == {"value": 4, "scale": 2, "result": 8}
+        assert owner.finished == [9, 8]
+
+    def test_raising_call_closes_span_without_finish(self):
+        owner = _Traced(Observability(clock=FakeClock()))
+        with pytest.raises(ValueError):
+            owner.double(-1)
+        (root,) = owner._obs.tracer.roots
+        assert root.attributes == {"value": -1, "scale": 2}
+        assert root.end is not None
+        assert owner.finished == []
+
+    def test_dotted_owner_path(self):
+        class Session:
+            def __init__(self, obs):
+                self.inner = _Traced(obs)
+
+            @traced("session.op", owner="inner._obs")
+            def op(self):
+                return "done"
+
+        obs = Observability(clock=FakeClock())
+        assert Session(obs).op() == "done"
+        assert Session(None).op() == "done"
+        assert obs.tracer.span_counts == {"session.op": 1}
+
+    def test_rejects_packed_parameters(self):
+        with pytest.raises(TypeError):
+            traced("op")(lambda self, *args: None)
+        with pytest.raises(TypeError):
+            traced("op")(lambda self, **kwargs: None)
+        with pytest.raises(ValueError):
+            traced("op", owner="not an attribute")
 
 
 # ----------------------------------------------------------------------
@@ -387,14 +457,17 @@ class TestInvariance:
             rng = random.Random(seed)
             countries = ("DE", "FR", "US")
             colors = ("red", "blue", "green")
-            records = []
-            for index in range(n_records):
-                record = toy_record(
+            records = [
+                toy_record(
                     schema, rng.choice(countries), "City%d" % (index % 9),
                     rng.choice(colors), float(rng.randrange(1, 50)),
                 )
+                for index in range(n_records)
+            ]
+            half = n_records // 2
+            for record in records[:half]:
                 tree.insert(record)
-                records.append(record)
+            tree.insert_batch(records[half:])
             answers = [
                 tree.range_query(query_from_labels(
                     schema, {"Geo": ("Country", [country])}
@@ -402,6 +475,10 @@ class TestInvariance:
                 for country in countries
             ]
             answers.append(sorted(tree.group_by(1, 0).items()))
+            for _ in range(2):  # cold, then a cache hit
+                groups, profile = tree.group_by(0, 1, explain=True)
+                answers.append((sorted(groups.items()),
+                                profile.cache_outcome, profile.reconciles()))
             tree.delete(records[0])
             answers.append(tree.range_query(query_from_labels(
                 schema, {}
