@@ -20,7 +20,7 @@ from .split import (
     linear_split,
     plan_node_split,
 )
-from .stats import LevelStats, TreeStats, collect_cache_stats, collect_stats
+from .stats import LevelStats, TreeStats, collect_stats
 from .tree import DCTree
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "SplitPlan",
     "TreeStats",
     "choose_seeds",
-    "collect_cache_stats",
     "collect_stats",
     "compute_group_mds",
     "contains",

@@ -72,6 +72,97 @@ class _BatchState:
 
 
 # ----------------------------------------------------------------------
+# sinks of the Fig. 7 descent (DCTree._descend)
+# ----------------------------------------------------------------------
+#
+# A sink takes the matching records of each data node read
+# (``add_records``) and the aggregate of each contained entry answered
+# whole (``fold``).  An entry's group key is ``key_of(child)``, or the
+# constant ``key`` when ``key_of`` is None; a None key means the entry's
+# aggregate is never taken, so only its overlap is tested.
+
+
+class _AggregateSink:
+    """One aggregate: ``range_query`` and ``range_summary``."""
+
+    __slots__ = ("aggregator", "key")
+    key_of = None
+
+    def __init__(self, op, measure_index, use_aggregates):
+        self.aggregator = StreamingAggregator(op, measure_index)
+        self.key = True if use_aggregates else None
+
+    def add_records(self, records):
+        add_record = self.aggregator.add_record
+        for record in records:
+            add_record(record)
+
+    def fold(self, _key, vector):
+        self.aggregator.add_vector(vector)
+
+
+class _RecordSink:
+    """The matching records themselves (``range_records``)."""
+
+    __slots__ = ("records",)
+    key = None
+    key_of = None
+
+    def __init__(self):
+        self.records = []
+
+    def add_records(self, records):
+        self.records.extend(records)
+
+
+class _GroupSink:
+    """One aggregator per value at ``level`` of dimension ``dim``.
+
+    An entry's aggregate is taken whole only when its subtree lifts to a
+    single group at ``level``.  A group's aggregator is created when the
+    group first receives a record or a vector, so a disjoint entry never
+    leaves an empty group behind.
+    """
+
+    __slots__ = ("groups", "op", "measure_index", "dim", "level",
+                 "hierarchy", "key_of")
+    key = None
+
+    def __init__(self, op, measure_index, dim, level, hierarchy,
+                 use_aggregates):
+        self.groups = {}
+        self.op = op
+        self.measure_index = measure_index
+        self.dim = dim
+        self.level = level
+        self.hierarchy = hierarchy
+        self.key_of = self._single_group if use_aggregates else None
+
+    def _single_group(self, child):
+        """The one value ``child`` lifts to at ``level``, else None."""
+        child_mds = child.mds
+        if child_mds.level(self.dim) > self.level:
+            return None
+        lifted = child_mds.adapted_set(self.dim, self.level, self.hierarchy)
+        return next(iter(lifted)) if len(lifted) == 1 else None
+
+    def _group(self, value):
+        aggregator = self.groups.get(value)
+        if aggregator is None:
+            aggregator = StreamingAggregator(self.op, self.measure_index)
+            self.groups[value] = aggregator
+        return aggregator
+
+    def add_records(self, records):
+        dim, level, group = self.dim, self.level, self._group
+        for record in records:
+            group(record.value_at_level(dim, level)).add_record(record)
+
+    def fold(self, key, vector):
+        self._group(key).add_vector(vector)
+
+
+# ----------------------------------------------------------------------
 # telemetry hooks: opening attributes and outcomes of the traced spans
 # ----------------------------------------------------------------------
 
@@ -739,7 +830,7 @@ class DCTree:
         bit-identical to the plain call (see :meth:`_answer`).
         """
         check_aggregate(op)
-        measure_index = self._measure_index(measure)
+        measure_index = self.schema.measure_index(measure)
         self._check_query_mds(range_mds)
         # use_materialized_aggregates changes the traversal (and therefore
         # the charged trace), so it is part of the memo identity: flipping
@@ -805,11 +896,46 @@ class DCTree:
 
     def _range_query_computed(self, range_mds, op, measure_index):
         """The actual Fig. 7 traversal behind :meth:`range_query`."""
-        if op in ("min", "max") and self.config.use_materialized_aggregates:
+        use_aggregates = self.config.use_materialized_aggregates
+        if op in ("min", "max") and use_aggregates:
             return self._range_extremum(range_mds, op, measure_index)
-        aggregator = StreamingAggregator(op, measure_index)
-        self._query_node(self._root, range_mds, aggregator)
-        return aggregator.result()
+        sink = _AggregateSink(op, measure_index, use_aggregates)
+        self._descend(self._root, range_mds, sink)
+        return sink.aggregator.result()
+
+    def _descend(self, node, range_mds, sink, depth=0):
+        """Fig. 7 for every read that feeds a sink: a disjoint entry is
+        skipped, a contained one folds its materialized aggregate into its
+        group key, any other is descended; leaves hand over their matches.
+        """
+        self.tracker.access_node(node.page_id, node.n_blocks)
+        profile = self._profile
+        if profile is not None:
+            profile.visit(depth, node.n_blocks)
+        if node.is_leaf:
+            sink.add_records(self._leaf_matches(node, range_mds))
+            if profile is not None:
+                profile.scanned(depth, len(node.records))
+                profile.charge_cpu(depth)
+            return
+        classify = self._classify_entry
+        key_of = sink.key_of
+        key = sink.key
+        for child in node.children:
+            if key_of is not None:
+                key = key_of(child)
+            outcome = classify(range_mds, child.mds, key is not None)
+            if profile is not None:
+                profile.classified(depth, outcome)
+                profile.charge_cpu(depth)
+            if outcome == mds_mod.DISJOINT:
+                continue
+            if outcome == mds_mod.CONTAINED:
+                sink.fold(key, child.aggregate)
+                if profile is not None:
+                    profile.aggregate_hit(depth)
+            else:
+                self._descend(child, range_mds, sink, depth + 1)
 
     def _range_extremum(self, range_mds, op, measure_index):
         """Branch-and-bound range-MAX/MIN (reference [6] style)."""
@@ -875,11 +1001,13 @@ class DCTree:
         materialized vectors hold all four, Fig. 7's algorithm is
         aggregate-agnostic).
         """
-        measure_index = self._measure_index(measure)
+        measure_index = self.schema.measure_index(measure)
         self._check_query_mds(range_mds)
-        aggregator = StreamingAggregator("sum", measure_index)
-        self._query_node(self._root, range_mds, aggregator)
-        return aggregator.summary.copy()
+        sink = _AggregateSink(
+            "sum", measure_index, self.config.use_materialized_aggregates
+        )
+        self._descend(self._root, range_mds, sink)
+        return sink.aggregator.summary
 
     def estimate_count(self, range_mds, max_depth=1):
         """Cheap cardinality estimate from the directory only.
@@ -956,9 +1084,9 @@ class DCTree:
     def range_records(self, range_mds):
         """The records inside ``range_mds`` (always descends to leaves)."""
         self._check_query_mds(range_mds)
-        result = []
-        self._collect_records(self._root, range_mds, result)
-        return result
+        sink = _RecordSink()
+        self._descend(self._root, range_mds, sink)
+        return sink.records
 
     def _leaf_matches(self, node, range_mds):
         """The records of data node ``node`` inside ``range_mds``.
@@ -973,54 +1101,6 @@ class DCTree:
         hierarchies = self.hierarchies
         return [record for record in node.records
                 if covers_record(range_mds, record, hierarchies)]
-
-    def _query_node(self, node, range_mds, aggregator, depth=0):
-        self.tracker.access_node(node.page_id, node.n_blocks)
-        profile = self._profile
-        if profile is not None:
-            profile.visit(depth, node.n_blocks)
-        if node.is_leaf:
-            for record in self._leaf_matches(node, range_mds):
-                aggregator.add_record(record)
-            if profile is not None:
-                profile.scanned(depth, len(node.records))
-                profile.charge_cpu(depth)
-            return
-        use_aggregates = self.config.use_materialized_aggregates
-        for child in node.children:
-            outcome = self._classify_entry(
-                range_mds, child.mds, check_containment=use_aggregates
-            )
-            if profile is not None:
-                profile.classified(depth, outcome)
-                profile.charge_cpu(depth)
-            if outcome == mds_mod.DISJOINT:
-                continue
-            if outcome == mds_mod.CONTAINED:
-                aggregator.add_vector(child.aggregate)
-                if profile is not None:
-                    profile.aggregate_hit(depth)
-            else:
-                self._query_node(child, range_mds, aggregator, depth + 1)
-
-    def _collect_records(self, node, range_mds, result):
-        self.tracker.access_node(node.page_id, node.n_blocks)
-        if node.is_leaf:
-            result.extend(self._leaf_matches(node, range_mds))
-            return
-        for child in node.children:
-            outcome = self._classify_entry(
-                range_mds, child.mds, check_containment=False
-            )
-            if outcome != mds_mod.DISJOINT:
-                self._collect_records(child, range_mds, result)
-
-    def _measure_index(self, measure):
-        if isinstance(measure, str):
-            return self.schema.measure_index(measure)
-        if not 0 <= measure < self.schema.n_measures:
-            raise QueryError("measure index %r out of range" % (measure,))
-        return measure
 
     def _check_query_mds(self, range_mds):
         if range_mds.n_dimensions != self.schema.n_dimensions:
@@ -1048,18 +1128,14 @@ class DCTree:
         With ``explain=True`` returns an
         :class:`~repro.obs.ExplainResult` over the finished group dict.
         """
-        groups = self.group_by_aggregators(
+        answer = self.group_by_aggregators(
             dim_index, level, op, measure, range_mds, explain=explain
         )
-        if explain:
-            finished = {
-                value: aggregator.result()
-                for value, aggregator in groups.value.items()
-            }
-            return ExplainResult(finished, groups.profile)
-        return {
+        groups = answer.value if explain else answer
+        finished = {
             value: aggregator.result() for value, aggregator in groups.items()
         }
+        return ExplainResult(finished, answer.profile) if explain else finished
 
     @traced("group_by",
             start=lambda tree, dim_index, level, op, *_args: {
@@ -1075,7 +1151,7 @@ class DCTree:
         summaries instead of the finished scalars.
         """
         check_aggregate(op)
-        measure_index = self._measure_index(measure)
+        measure_index = self.schema.measure_index(measure)
         if not 0 <= dim_index < self.schema.n_dimensions:
             raise QueryError("dimension index %r out of range" % (dim_index,))
         hierarchy = self.hierarchies[dim_index]
@@ -1108,63 +1184,12 @@ class DCTree:
     def _group_by_computed(self, dim_index, level, op, measure_index,
                            range_mds):
         """The actual one-pass roll-up behind :meth:`group_by_aggregators`."""
-        groups = {}
-        self._group_node(
-            self._root, dim_index, level, op, measure_index, range_mds,
-            groups,
+        sink = _GroupSink(
+            op, measure_index, dim_index, level, self.hierarchies[dim_index],
+            self.config.use_materialized_aggregates,
         )
-        return groups
-
-    def _group_node(self, node, dim_index, level, op, measure_index,
-                    range_mds, groups, depth=0):
-        self.tracker.access_node(node.page_id, node.n_blocks)
-        profile = self._profile
-        if profile is not None:
-            profile.visit(depth, node.n_blocks)
-        hierarchy = self.hierarchies[dim_index]
-        if node.is_leaf:
-            for record in self._leaf_matches(node, range_mds):
-                value = record.value_at_level(dim_index, level)
-                self._group_for(value, op, measure_index, groups) \
-                    .add_record(record)
-            if profile is not None:
-                profile.scanned(depth, len(node.records))
-                profile.charge_cpu(depth)
-            return
-        use_aggregates = self.config.use_materialized_aggregates
-        for child in node.children:
-            single_group = None
-            if child.mds.level(dim_index) <= level:
-                lifted = child.mds.adapted_set(dim_index, level, hierarchy)
-                if len(lifted) == 1:
-                    single_group = next(iter(lifted))
-            outcome = self._classify_entry(
-                range_mds, child.mds,
-                check_containment=use_aggregates and single_group is not None,
-            )
-            if profile is not None:
-                profile.classified(depth, outcome)
-                profile.charge_cpu(depth)
-            if outcome == mds_mod.DISJOINT:
-                continue
-            if outcome == mds_mod.CONTAINED:
-                self._group_for(single_group, op, measure_index, groups) \
-                    .add_vector(child.aggregate)
-                if profile is not None:
-                    profile.aggregate_hit(depth)
-            else:
-                self._group_node(
-                    child, dim_index, level, op, measure_index, range_mds,
-                    groups, depth + 1,
-                )
-
-    @staticmethod
-    def _group_for(value, op, measure_index, groups):
-        aggregator = groups.get(value)
-        if aggregator is None:
-            aggregator = StreamingAggregator(op, measure_index)
-            groups[value] = aggregator
-        return aggregator
+        self._descend(self._root, range_mds, sink)
+        return sink.groups
 
     # ------------------------------------------------------------------
     # deletion (the 'fully dynamic' complement of insert)

@@ -197,10 +197,7 @@ class Warehouse:
         range_query = query_from_labels(self.schema, where or {})
         if self.backend == "dc-tree":
             return self.index.range_summary(range_query.mds, measure=measure)
-        measure_index = (
-            self.schema.measure_index(measure)
-            if isinstance(measure, str) else measure
-        )
+        measure_index = self.schema.measure_index(measure)
         summary = MeasureSummary()
         for record in self.records_matching(range_query):
             summary.add_value(record.measures[measure_index])
@@ -269,10 +266,7 @@ class Warehouse:
         elif explain:
             self._require_explain_backend()
         else:
-            measure_index = (
-                self.schema.measure_index(measure)
-                if isinstance(measure, str) else measure
-            )
+            measure_index = self.schema.measure_index(measure)
             for record in self.records_matching(range_query):
                 value = record.value_at_level(dim_index, level)
                 label = hierarchy.label(value)

@@ -263,7 +263,7 @@ class XTree:
         (used for the exact MDS semantics); ``None`` means the box itself
         is the query.
         """
-        measure_index = self._measure_index(measure)
+        measure_index = self.schema.measure_index(measure)
         self._check_query_mbr(range_mbr)
         aggregator = StreamingAggregator(op, measure_index)
         self._query_node(self._root, range_mbr, predicate, aggregator)
@@ -308,13 +308,6 @@ class XTree:
         for child in node.children:
             if range_mbr.intersects(child.mbr):
                 self._query_node(child, range_mbr, predicate, aggregator)
-
-    def _measure_index(self, measure):
-        if isinstance(measure, str):
-            return self.schema.measure_index(measure)
-        if not 0 <= measure < self.schema.n_measures:
-            raise QueryError("measure index %r out of range" % (measure,))
-        return measure
 
     def _check_query_mbr(self, range_mbr):
         if range_mbr.n_dimensions != self.n_flat:

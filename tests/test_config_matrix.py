@@ -6,6 +6,7 @@ defaults the other suites use.
 """
 
 import math
+from collections import Counter
 
 import pytest
 
@@ -19,6 +20,7 @@ from repro import (
     make_tpcd_schema,
 )
 from repro.bench.harness import execute_query
+from repro.cube.aggregation import MeasureSummary
 from repro.workload.queries import QueryGenerator
 
 DC_CONFIGS = [
@@ -77,6 +79,39 @@ def test_dc_tree_correct_under_config(dataset, config):
         assert tree.range_query(query.mds, op="max") == oracle.range_query(
             query.mds, op="max"
         )
+        assert Counter(map(id, tree.range_records(query.mds))) == Counter(
+            map(id, oracle.range_records(query.mds))
+        )
+        summary = tree.range_summary(query.mds)
+        for op in ("sum", "count", "min", "max"):
+            expected = oracle.range_query(query.mds, op=op)
+            got = summary.aggregate(op)
+            assert got == expected or math.isclose(got, expected,
+                                                   abs_tol=1e-4), op
+    # Customer by nation, over the whole cube and inside each query.
+    for range_mds in [None] + [query.mds for query in queries]:
+        expected = _oracle_groups(oracle, range_mds, 0, 2)
+        sums = tree.group_by(0, 2, op="sum", range_mds=range_mds)
+        assert sums.keys() == expected.keys()
+        for value, summary in expected.items():
+            assert math.isclose(sums[value], summary.aggregate("sum"),
+                                abs_tol=1e-4)
+        assert tree.group_by(0, 2, op="count", range_mds=range_mds) == {
+            value: summary.count for value, summary in expected.items()
+        }
+
+
+def _oracle_groups(oracle, range_mds, dim_index, level):
+    """{value: MeasureSummary} folded from the FlatTable oracle."""
+    records = (oracle.records() if range_mds is None
+               else oracle.range_records(range_mds))
+    groups = {}
+    for record in records:
+        value = record.value_at_level(dim_index, level)
+        groups.setdefault(value, MeasureSummary()).add_value(
+            record.measures[0]
+        )
+    return groups
 
 
 @pytest.mark.parametrize("config", DC_CONFIGS[:3])

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import CubeSchema, Dimension, Measure
-from repro.errors import SchemaError
+from repro.errors import QueryError, SchemaError
 from tests.conftest import build_toy_schema, toy_record
 
 
@@ -67,6 +67,11 @@ class TestLookups:
     def test_measure_index_unknown(self):
         with pytest.raises(SchemaError):
             build_toy_schema().measure_index("Nope")
+
+    @pytest.mark.parametrize("measure", [-1, 1, 0.0, None])
+    def test_measure_index_out_of_range(self, measure):
+        with pytest.raises(QueryError):
+            build_toy_schema().measure_index(measure)
 
     def test_hierarchy_accessor(self):
         schema = build_toy_schema()

@@ -10,7 +10,7 @@ from repro import (
     XTreeConfig,
     make_tpcd_schema,
 )
-from repro.errors import SchemaError
+from repro.errors import QueryError, SchemaError
 from repro.workload.queries import QueryGenerator, query_from_labels
 from tests.conftest import TOY_ROWS, build_toy_schema
 
@@ -103,6 +103,43 @@ class TestQueryValidation:
         query = query_from_labels(other_schema, {})
         with pytest.raises(SchemaError):
             warehouse.execute(query)
+
+
+MEASURE_CALLS = {
+    "summary": lambda warehouse, measure: warehouse.summary(measure=measure),
+    "group_by": lambda warehouse, measure: warehouse.group_by(
+        "Geo", "Country", measure=measure
+    ),
+    "execute": lambda warehouse, measure: warehouse.execute(
+        query_from_labels(warehouse.schema, {}), measure=measure
+    ),
+}
+
+
+@pytest.mark.parametrize("backend", ["dc-tree", "x-tree", "scan"])
+@pytest.mark.parametrize("call", sorted(MEASURE_CALLS))
+class TestMeasureArgument:
+    """Every backend and entry point checks the measure the same way."""
+
+    @pytest.mark.parametrize("measure", [-1, 1], ids=["negative", "n_measures"])
+    def test_index_out_of_range_rejected(self, backend, call, measure):
+        warehouse = Warehouse(build_toy_schema(), backend)
+        populate(warehouse)
+        with pytest.raises(QueryError):
+            MEASURE_CALLS[call](warehouse, measure)
+
+    def test_unknown_name_rejected(self, backend, call):
+        warehouse = Warehouse(build_toy_schema(), backend)
+        populate(warehouse)
+        with pytest.raises(SchemaError):
+            MEASURE_CALLS[call](warehouse, "Profit")
+
+    def test_name_selects_its_index(self, backend, call):
+        warehouse = Warehouse(build_toy_schema(), backend)
+        populate(warehouse)
+        assert MEASURE_CALLS[call](warehouse, "Sales") == MEASURE_CALLS[call](
+            warehouse, 0
+        )
 
 
 class TestCrossBackendAgreement:
