@@ -5,7 +5,6 @@ from .advisor import (
     candidate_levels,
     covers,
     estimate_cells,
-    recommend_view,
     recommend_views,
 )
 from .hybrid import HybridWarehouse, RouterStats
@@ -25,6 +24,5 @@ __all__ = [
     "candidate_levels",
     "covers",
     "estimate_cells",
-    "recommend_view",
     "recommend_views",
 ]

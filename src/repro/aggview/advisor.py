@@ -11,9 +11,9 @@ implements that idea for the level-combination lattice used by
   dimension;
 * its cost is its (estimated) cell count.
 
-:func:`recommend_view` scores every candidate against a workload sample
-and returns the best one under the budget; :func:`recommend_views` runs
-the classic greedy set-cover loop for ``k`` views.
+:func:`recommend_views` scores every candidate against a workload
+sample and runs the classic greedy set-cover loop for ``k`` views under
+the budget (its first pick is the best single view).
 """
 
 from __future__ import annotations
@@ -111,43 +111,6 @@ def _benefit(covered, cells, base_cost):
     budget.
     """
     return covered * max(0, base_cost - cells)
-
-
-def recommend_view(schema, workload, cell_budget, n_records=None,
-                   records=None):
-    """The best single view for ``workload`` under ``cell_budget``.
-
-    ``workload`` is a sequence of :class:`RangeQuery` (or anything with a
-    ``.mds``).  Scoring follows [7]: maximize the total benefit —
-    covered queries × (base cost − view cells) — with ties towards
-    higher coverage, then fewer cells.  Pass ``records`` (the cube's
-    contents) for exact cell counts; the theoretical estimate otherwise.
-    Returns a :class:`ViewRecommendation`.
-    """
-    queries = [getattr(q, "mds", q) for q in workload]
-    if not queries:
-        raise QueryError("cannot recommend a view for an empty workload")
-    if records is not None:
-        records = list(records)
-    base_cost = _base_cost(schema, n_records, records)
-    best = None
-    for levels in candidate_levels(schema):
-        cells = estimate_cells(schema, levels, n_records, records)
-        if cells > cell_budget:
-            continue
-        covered = sum(1 for mds in queries if covers(levels, mds))
-        coverage = covered / len(queries)
-        benefit = _benefit(covered, cells, base_cost)
-        key = (benefit, coverage, -cells, sum(levels))
-        if best is None or key > best[0]:
-            best = (
-                key, ViewRecommendation(levels, coverage, cells, benefit)
-            )
-    if best is None:
-        raise QueryError(
-            "no view fits the cell budget %d" % cell_budget
-        )
-    return best[1]
 
 
 def recommend_views(schema, workload, cell_budget, k, n_records=None,

@@ -72,7 +72,6 @@ class MaterializedAggregateView:
         self._cells = {}
         self._stale = False
         self._built = False
-        self._n_source_records = 0
         self._base_page = self.tracker.new_page_id()
 
     # ------------------------------------------------------------------
@@ -87,7 +86,6 @@ class MaterializedAggregateView:
         single dynamic update.
         """
         self._cells = {}
-        count = 0
         for record in records:
             key = self._cell_key(record)
             cell = self._cells.get(key)
@@ -95,9 +93,7 @@ class MaterializedAggregateView:
                 cell = AggregateVector(self.schema.n_measures)
                 self._cells[key] = cell
             cell.add_record(record)
-            count += 1
             self.tracker.cpu(self.schema.n_dimensions)
-        self._n_source_records = count
         self._stale = False
         self._built = True
         # Writing the materialized cells out once.
@@ -124,7 +120,6 @@ class MaterializedAggregateView:
             cell = AggregateVector(self.schema.n_measures)
             self._cells[key] = cell
         cell.add_record(record)
-        self._n_source_records += 1
         self.tracker.cpu(self.schema.n_dimensions)
         self.tracker.write_node(self._base_page)
 
@@ -149,7 +144,6 @@ class MaterializedAggregateView:
         if cell.count == 0:
             del self._cells[key]
             extrema_stale = False
-        self._n_source_records -= 1
         self.tracker.cpu(self.schema.n_dimensions)
         self.tracker.write_node(self._base_page)
         if extrema_stale:
@@ -168,14 +162,6 @@ class MaterializedAggregateView:
     @property
     def is_stale(self):
         return self._stale
-
-    @property
-    def n_cells(self):
-        return len(self._cells)
-
-    @property
-    def n_source_records(self):
-        return self._n_source_records
 
     def _cell_key(self, record):
         key = []

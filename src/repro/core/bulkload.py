@@ -32,9 +32,11 @@ def bulk_load(schema, records, config=None, tracker=None,
     Returns a fully consistent, dynamic tree.  ``records`` may be any
     iterable; it is materialized once.
     """
+    records = list(records)
+    for record in records:
+        schema.check_record(record)
     tree = DCTree(schema, config=config, tracker=tracker,
                   storage_config=storage_config)
-    records = list(records)
     if not records:
         return tree
     loader = _BulkLoader(tree)

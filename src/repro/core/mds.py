@@ -274,14 +274,6 @@ class MDS:
             self._adapt_cache[key] = cached
         return cached
 
-    def adapted_to(self, levels, hierarchies):
-        """A copy of this MDS with every dimension lifted to ``levels``."""
-        sets = [
-            self.adapted_set(dim, level, hierarchies[dim])
-            for dim, level in enumerate(levels)
-        ]
-        return MDS(sets, levels)
-
     # ------------------------------------------------------------------
     # value semantics
     # ------------------------------------------------------------------

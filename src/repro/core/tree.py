@@ -388,8 +388,10 @@ class DCTree:
         the in-memory apply and before this method returns — returning
         IS the acknowledgement, so an acknowledged insert is always
         recoverable and a crash mid-insert loses only the unacknowledged
-        one.
+        one.  A record that does not fit the schema raises
+        :class:`TreeError` before anything changes.
         """
+        self.schema.check_record(record)
         self.note_mutation()
         self._insert_one(record)
         self._n_records += 1
@@ -429,11 +431,16 @@ class DCTree:
           Returning IS the acknowledgement; a crash mid-batch loses the
           whole unacknowledged batch and nothing else.
 
+        Every record is checked against the schema first, so a malformed
+        one raises :class:`TreeError` before any record is applied.
+
         Returns the number of records inserted.
         """
         records = list(records)
         if not records:
             return 0
+        for record in records:
+            self.schema.check_record(record)
         if self._batch is not None:
             raise TreeError("insert_batch cannot be nested")
         self._apply_batch(records)
@@ -988,10 +995,6 @@ class DCTree:
                     child, range_mds, sign, measure_index, best, depth + 1
                 )
         return best
-
-    def range_count(self, range_mds):
-        """Number of records inside ``range_mds``."""
-        return self.range_query(range_mds, op="count")
 
     def range_summary(self, range_mds, measure=0):
         """All supported aggregates of one measure in a single pass.

@@ -43,11 +43,6 @@ class MeasureSummary:
         self.min = min_
         self.max = max_
 
-    @classmethod
-    def of_value(cls, value):
-        """Summary of a single measure value."""
-        return cls(value, 1, value, value)
-
     def copy(self):
         return MeasureSummary(self.sum, self.count, self.min, self.max)
 
@@ -127,13 +122,6 @@ class AggregateVector:
 
     def __init__(self, n_measures):
         self.summaries = tuple(MeasureSummary() for _ in range(n_measures))
-
-    @classmethod
-    def of_record(cls, record):
-        """Vector summarizing a single record."""
-        vector = cls(len(record.measures))
-        vector.add_record(record)
-        return vector
 
     @property
     def count(self):

@@ -122,26 +122,6 @@ class ConceptHierarchy:
             level -= 1
         return tuple(path)
 
-    def lookup_path(self, values):
-        """Like :meth:`insert_path` but never creates nodes.
-
-        Returns ``None`` when the path does not exist.
-        """
-        if len(values) != self.n_attributes:
-            raise HierarchyError(
-                "dimension %r expects %d attribute values, got %d"
-                % (self.name, self.n_attributes, len(values))
-            )
-        path = []
-        parent = self.all_id
-        for value in values:
-            child = self._child_by_label.get((parent, value))
-            if child is None:
-                return None
-            path.append(child)
-            parent = child
-        return tuple(path)
-
     def _new_node(self, level, label, parent):
         attr_id = self._allocator.allocate(level)
         self._parent[attr_id] = parent
@@ -239,14 +219,6 @@ class ConceptHierarchy:
                 "unknown ID %r in dimension %r" % (attr_id, self.name)
             ) from None
 
-    def is_descendant_or_self(self, a, b):
-        """Partial ordering test ``a <= b`` (Definition 1)."""
-        level_a = self.level_of(a)
-        level_b = ids_mod.level_of(b)
-        if level_a > level_b:
-            return False
-        return self.ancestor(a, level_b) == b
-
     def descendants_at_level(self, attr_id, level):
         """All descendants of ``attr_id`` at exactly ``level`` (frozenset).
 
@@ -275,10 +247,6 @@ class ConceptHierarchy:
         result = frozenset(frontier)
         cache[level] = result
         return result
-
-    def count_descendants_at_level(self, attr_id, level):
-        """``len(descendants_at_level(...))`` without building new sets."""
-        return len(self.descendants_at_level(attr_id, level))
 
     def values_at_level(self, level):
         """All IDs currently allocated at ``level``, in allocation order.
@@ -348,16 +316,6 @@ class ConceptHierarchy:
             if counter >= self._allocator.allocated_count(level):
                 self._allocator._next[level] = counter + 1
         self._descendant_cache.clear()
-
-    def path_labels(self, attr_id):
-        """Labels from the top functional attribute down to ``attr_id``."""
-        labels = []
-        node = attr_id
-        while node is not None and node != self.all_id:
-            labels.append(self._label[node])
-            node = self._parent[node]
-        labels.reverse()
-        return tuple(labels)
 
     def __repr__(self):
         return "ConceptHierarchy(%r, levels=%r, values=%d)" % (

@@ -66,11 +66,6 @@ def split_id(attr_id):
     return attr_id >> COUNTER_BITS, attr_id & MAX_COUNTER
 
 
-def is_valid_id(attr_id):
-    """Return True if ``attr_id`` fits the 32-bit encoding."""
-    return isinstance(attr_id, int) and 0 <= attr_id <= 0xFFFFFFFF
-
-
 class IdAllocator:
     """Allocates sequential counters for one dimension, one level at a time.
 

@@ -30,10 +30,6 @@ class DataRecord:
         self.paths = paths
         self.measures = measures
 
-    def leaf_value(self, dim_index):
-        """Level-0 ID of the record in dimension ``dim_index``."""
-        return self.paths[dim_index][-1]
-
     def value_at_level(self, dim_index, level):
         """The record's ancestor ID at ``level`` in dimension ``dim_index``.
 

@@ -10,7 +10,7 @@ instances.
 
 from __future__ import annotations
 
-from ..errors import QueryError, SchemaError
+from ..errors import HierarchyError, QueryError, SchemaError, TreeError
 from .hierarchy import ConceptHierarchy
 from .record import DataRecord
 
@@ -81,6 +81,11 @@ class CubeSchema:
         self.measures = tuple(measures)
         self._dim_index = {dim.name: i for i, dim in enumerate(dimensions)}
         self._measure_index = {m.name: i for i, m in enumerate(measures)}
+        # (dimension name, hierarchy, path length) per dimension, read by
+        # check_record on every insert.
+        self._path_shapes = tuple(
+            (dim.name, dim.hierarchy, dim.n_attributes) for dim in dimensions
+        )
 
     @property
     def n_dimensions(self):
@@ -170,24 +175,40 @@ class CubeSchema:
         )
         return DataRecord(paths, measures)
 
-    def record_from_ids(self, id_paths, measures):
-        """Build a :class:`DataRecord` from already-assigned ID paths."""
-        if len(id_paths) != self.n_dimensions:
-            raise SchemaError(
-                "expected %d ID paths, got %d" % (self.n_dimensions, len(id_paths))
+    def check_record(self, record):
+        """Raise :class:`TreeError` unless ``record`` fits this schema.
+
+        The record must have one ID path per dimension, one value per
+        measure, and every path must be its leaf's ancestor chain in this
+        schema's hierarchy (so a record built by another schema instance
+        is refused).  Backends call this before any mutation, so a
+        refused record leaves an index untouched.
+        """
+        paths = record.paths
+        if (len(paths) != len(self.dimensions)
+                or len(record.measures) != len(self.measures)):
+            raise TreeError(
+                "record has %d paths and %d measures, cube has %d and %d"
+                % (len(paths), len(record.measures),
+                   len(self.dimensions), len(self.measures))
             )
-        for dim, path in zip(self.dimensions, id_paths):
-            if len(path) != dim.n_attributes:
-                raise SchemaError(
+        for (name, hierarchy, n_attributes), path in zip(self._path_shapes,
+                                                         paths):
+            if len(path) != n_attributes:
+                raise TreeError(
                     "dimension %r expects %d IDs per path, got %d"
-                    % (dim.name, dim.n_attributes, len(path))
+                    % (name, n_attributes, len(path))
                 )
-        measures = tuple(float(x) for x in measures)
-        if len(measures) != self.n_measures:
-            raise SchemaError(
-                "expected %d measures, got %d" % (self.n_measures, len(measures))
-            )
-        return DataRecord(tuple(tuple(p) for p in id_paths), measures)
+            try:
+                chain = hierarchy.ancestors_of(path[-1])
+            except HierarchyError as exc:
+                raise TreeError(str(exc)) from None
+            # The chain runs leaf -> ... -> ALL; the path runs top -> leaf.
+            if chain[-2::-1] != path:
+                raise TreeError(
+                    "path %r is not an ancestor chain of dimension %r"
+                    % (path, name)
+                )
 
     def describe(self, record):
         """Human-readable rendering of ``record`` under this schema."""

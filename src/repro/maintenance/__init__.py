@@ -1,11 +1,8 @@
-"""Warehouse operation modes: batch updates, partitioning/retention."""
+"""Warehouse operation modes: the §1 batch-update regime."""
 
-from .batch import BatchWarehouse, MaintenanceStats, WarehouseOfflineError
-from .partitioned import PartitionedWarehouse
+from .batch import BatchWarehouse, MaintenanceStats
 
 __all__ = [
     "BatchWarehouse",
     "MaintenanceStats",
-    "PartitionedWarehouse",
-    "WarehouseOfflineError",
 ]

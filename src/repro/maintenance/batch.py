@@ -9,10 +9,10 @@ considerable time window where the data warehouse is not available for
 OLAP; (2) the contents of the data warehouse is not always up to date."
 
 :class:`BatchWarehouse` wraps any backend with exactly that regime so the
-two drawbacks become measurable: updates queue until the next maintenance
-window; queries meanwhile read stale contents (staleness is recorded per
-query); during a window the warehouse is offline and the downtime is
-recorded.  The `motivation` bench compares it against a plain dynamic
+two drawbacks become measurable: inserts queue until the next
+maintenance window; queries meanwhile read stale contents (staleness is
+recorded per query); the window's downtime — wall time and simulated page
+I/O of applying the whole batch — is recorded.  The `motivation` bench compares it against a plain dynamic
 :class:`~repro.warehouse.Warehouse` on the same update/query stream.
 """
 
@@ -20,12 +20,7 @@ from __future__ import annotations
 
 import time
 
-from ..errors import ReproError
 from ..warehouse import Warehouse
-
-
-class WarehouseOfflineError(ReproError):
-    """A query arrived while a maintenance window was in progress."""
 
 
 class MaintenanceStats:
@@ -36,8 +31,6 @@ class MaintenanceStats:
         self.staleness_samples = []
         #: Per-window (n_updates, wall_seconds, simulated_seconds).
         self.windows = []
-        #: Queries rejected because they arrived during a window.
-        self.queries_rejected = 0
 
     @property
     def n_windows(self):
@@ -50,10 +43,6 @@ class MaintenanceStats:
     @property
     def total_simulated_downtime(self):
         return sum(sim for _n, _wall, sim in self.windows)
-
-    @property
-    def updates_applied(self):
-        return sum(n for n, _wall, _sim in self.windows)
 
     @property
     def mean_staleness(self):
@@ -93,27 +82,18 @@ class BatchWarehouse:
         self._warehouse = Warehouse(schema, backend, config, storage_config)
         self.window_every = window_every
         self._pending = []
-        self._in_window = False
         self.stats = MaintenanceStats()
 
     # -- update side -----------------------------------------------------
 
-    def submit_insert(self, dimension_values, measures):
-        """Queue one insert; it is NOT visible until the next window."""
-        record = self._warehouse.schema.record(dimension_values, measures)
-        self.submit_insert_record(record)
-        return record
-
     def submit_insert_record(self, record):
-        self._pending.append(("insert", record))
-        self._maybe_auto_window()
+        """Queue one insert; it is NOT visible until the next window.
 
-    def submit_delete(self, record):
-        """Queue one delete; it is NOT applied until the next window."""
-        self._pending.append(("delete", record))
-        self._maybe_auto_window()
-
-    def _maybe_auto_window(self):
+        The record is checked against the schema here, so a malformed
+        record is refused on submission and a window never fails halfway.
+        """
+        self._warehouse.schema.check_record(record)
+        self._pending.append(record)
         if self.window_every and len(self._pending) >= self.window_every:
             self.run_maintenance_window()
 
@@ -125,33 +105,20 @@ class BatchWarehouse:
     # -- maintenance window ------------------------------------------------
 
     def run_maintenance_window(self):
-        """Apply every pending update; the warehouse is offline meanwhile.
+        """Apply every pending insert; OLAP waits for it (drawback 1).
 
         Returns ``(n_updates, wall_seconds)``.  The simulated downtime
         (page I/O of the whole batch) is recorded in :attr:`stats`.
         """
-        self._in_window = True
         tracker = self._warehouse.tracker
         before = tracker.snapshot()
         start = time.perf_counter()
         batch, self._pending = self._pending, []
-        # Consecutive inserts apply as one amortized batch (the window IS
-        # a batch regime, so it benefits directly from insert_batch's
-        # once-per-touched-node write charging); deletes flush the run.
-        run = []
-        for kind, record in batch:
-            if kind == "insert":
-                run.append(record)
-                continue
-            if run:
-                self._warehouse.insert_records(run)
-                run = []
-            self._warehouse.delete(record)
-        if run:
-            self._warehouse.insert_records(run)
+        # The window IS a batch regime, so it applies as one amortized
+        # batch (insert_batch charges each touched node's write once).
+        self._warehouse.insert_records(batch)
         wall = time.perf_counter() - start
         delta = tracker.snapshot() - before
-        self._in_window = False
         self.stats.windows.append(
             (len(batch), wall, delta.simulated_seconds())
         )
@@ -162,36 +129,20 @@ class BatchWarehouse:
     def query(self, op="sum", measure=0, where=None):
         """Answer from the *loaded* contents (possibly stale).
 
-        Raises :class:`WarehouseOfflineError` during a window (drawback
-        1); otherwise records how many submitted updates the answer does
-        not reflect (drawback 2) and delegates to the backend.
+        Records how many submitted updates the answer does not reflect
+        (drawback 2) and delegates to the backend.
         """
-        if self._in_window:
-            self.stats.queries_rejected += 1
-            raise WarehouseOfflineError(
-                "maintenance window in progress; OLAP unavailable"
-            )
         self.stats.staleness_samples.append(len(self._pending))
         return self._warehouse.query(op=op, measure=measure, where=where)
 
     def execute(self, range_query, op="sum", measure=0):
         """Prepared-query variant of :meth:`query` (same staleness rules)."""
-        if self._in_window:
-            self.stats.queries_rejected += 1
-            raise WarehouseOfflineError(
-                "maintenance window in progress; OLAP unavailable"
-            )
         self.stats.staleness_samples.append(len(self._pending))
         return self._warehouse.execute(range_query, op=op, measure=measure)
 
     def __len__(self):
         """Loaded (visible) records — pending updates excluded."""
         return len(self._warehouse)
-
-    @property
-    def warehouse(self):
-        """The underlying (stale) warehouse."""
-        return self._warehouse
 
     def __repr__(self):
         return "BatchWarehouse(loaded=%d, pending=%d, %r)" % (

@@ -199,18 +199,12 @@ class DurableWarehouse:
         """Insert an already-built record; durable once returned."""
         return self.warehouse.insert_record(record)
 
-    def insert_many(self, rows):
-        """Insert many ``(dimension_values, measures)`` pairs as one
-        group-committed batch: the in-memory apply amortizes page
-        writes, and the whole batch lands in the WAL as one atomic
-        record (one fsync per acknowledged batch at
-        ``wal_fsync_interval=1``).  Durable once returned; a crash
-        before the return loses the entire batch, never part of it."""
-        return self.warehouse.insert_many(rows)
-
     def insert_records(self, records):
-        """Batch variant of :meth:`insert_record` (see
-        :meth:`insert_many` for the durability semantics)."""
+        """Insert already-built records as one group-committed batch: the
+        in-memory apply amortizes page writes, and the whole batch lands
+        in the WAL as one atomic record (one fsync per acknowledged batch
+        at ``wal_fsync_interval=1``).  Durable once returned; a crash
+        before the return loses the entire batch, never part of it."""
         return self.warehouse.insert_records(records)
 
     def delete(self, record):

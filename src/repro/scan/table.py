@@ -46,6 +46,7 @@ class FlatTable:
 
     def insert(self, record):
         """Append one record (touches only the heap file's last page)."""
+        self.schema.check_record(record)
         self._records.append(record)
         last_page = (len(self._records) - 1) // self._records_per_page
         self.tracker.access_node((self._base_page, last_page))
@@ -61,6 +62,8 @@ class FlatTable:
         Returns the number of records inserted.
         """
         records = list(records)
+        for record in records:
+            self.schema.check_record(record)
         touched = {}
         for record in records:
             self._records.append(record)
@@ -104,9 +107,6 @@ class FlatTable:
         for record in self._scan(range_mds):
             aggregator.add_record(record)
         return aggregator.result()
-
-    def range_count(self, range_mds):
-        return self.range_query(range_mds, op="count")
 
     def range_records(self, range_mds):
         return list(self._scan(range_mds))

@@ -32,11 +32,6 @@ class BufferPool:
     def capacity(self):
         return self._capacity
 
-    @property
-    def resident_pages(self):
-        """Number of pages currently cached."""
-        return len(self._pages)
-
     def access(self, page_id):
         """Touch one page; return True on a hit, False on a miss."""
         if page_id in self._pages:

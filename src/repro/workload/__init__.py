@@ -1,23 +1,9 @@
-"""Range-query workloads: generation, label queries, traces."""
+"""Range-query workloads: generation and label queries."""
 
 from .queries import QueryGenerator, RangeQuery, query_from_labels
-from .trace import (
-    TRACE_VERSION,
-    queries_from_dict,
-    queries_to_dict,
-    read_trace,
-    replay,
-    write_trace,
-)
 
 __all__ = [
     "QueryGenerator",
     "RangeQuery",
-    "TRACE_VERSION",
-    "queries_from_dict",
-    "queries_to_dict",
     "query_from_labels",
-    "read_trace",
-    "replay",
-    "write_trace",
 ]

@@ -101,29 +101,11 @@ class MBR:
                 return False
         return True
 
-    def contains_mbr(self, other):
-        for d in range(len(self.lows)):
-            if other.lows[d] < self.lows[d] or other.highs[d] > self.highs[d]:
-                return False
-        return True
-
     def intersects(self, other):
         for d in range(len(self.lows)):
             if other.highs[d] < self.lows[d] or other.lows[d] > self.highs[d]:
                 return False
         return True
-
-    def overlap_volume(self, other):
-        product = 1.0
-        for d in range(len(self.lows)):
-            extent = (
-                min(self.highs[d], other.highs[d])
-                - max(self.lows[d], other.lows[d])
-            )
-            if extent < 0:
-                return 0.0
-            product *= extent
-        return product
 
     def overlap_volume_plus_one(self, other):
         """Discrete overlap (each shared side counts at least one ID)."""
@@ -149,9 +131,6 @@ class MBR:
             hi = self.highs[d] if value <= self.highs[d] else value
             after *= hi - lo + 1
         return after - before
-
-    def center(self, d):
-        return (self.lows[d] + self.highs[d]) / 2.0
 
     def __eq__(self, other):
         if not isinstance(other, MBR):

@@ -106,12 +106,25 @@ class XTree:
 
     def insert(self, record):
         """Insert one record as a point in the flattened ID space."""
+        self.schema.check_record(record)
+        self._insert_record(record)
+
+    def insert_batch(self, records):
+        """Insert many records one by one; returns the number inserted.
+
+        The X-tree has no amortized batch path: the tree and every
+        counter match serial :meth:`insert` calls.  The whole batch is
+        checked against the schema before the first record is applied.
+        """
+        records = list(records)
+        for record in records:
+            self.schema.check_record(record)
+        for record in records:
+            self._insert_record(record)
+        return len(records)
+
+    def _insert_record(self, record):
         point = record.flat_point()
-        if len(point) != self.n_flat:
-            raise TreeError(
-                "record has %d flat attributes, tree expects %d"
-                % (len(point), self.n_flat)
-            )
         if self._root_empty:
             self._root.mbr = MBR.of_point(point)
             self._root_empty = False
@@ -119,17 +132,6 @@ class XTree:
         if split_result is not None:
             self._grow_root(split_result)
         self._n_records += 1
-
-    def insert_batch(self, records):
-        """Insert many records one by one; returns the number inserted.
-
-        The X-tree has no amortized batch path: the tree and every
-        counter match serial :meth:`insert` calls.
-        """
-        records = list(records)
-        for record in records:
-            self.insert(record)
-        return len(records)
 
     def _insert_into(self, node, point, record):
         self.tracker.access_node(node.page_id, node.n_blocks)
@@ -268,9 +270,6 @@ class XTree:
         aggregator = StreamingAggregator(op, measure_index)
         self._query_node(self._root, range_mbr, predicate, aggregator)
         return aggregator.result()
-
-    def range_count(self, range_mbr, predicate=None):
-        return self.range_query(range_mbr, predicate, op="count")
 
     def range_records(self, range_mbr, predicate=None):
         """The matching records themselves."""

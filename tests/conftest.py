@@ -8,6 +8,7 @@ import pytest
 from hypothesis import settings
 
 from repro import CubeSchema, Dimension, Measure, TPCDGenerator, make_tpcd_schema
+from repro.core.mds import MDS
 
 # Tiered Hypothesis profiles: "ci" runs the full example budget, "dev"
 # keeps the suite fast during iteration.  Select with HYPOTHESIS_PROFILE.
@@ -35,6 +36,15 @@ def build_toy_schema():
 def toy_record(schema, country, city, color, sales):
     """One toy record from labels (Country > City; Color)."""
     return schema.record(((country, city), (color,)), (sales,))
+
+
+def adapted(mds, levels, hierarchies):
+    """A copy of ``mds`` with every dimension lifted to ``levels``."""
+    return MDS(
+        [mds.adapted_set(dim, level, hierarchies[dim])
+         for dim, level in enumerate(levels)],
+        levels,
+    )
 
 
 TOY_ROWS = (

@@ -2,7 +2,7 @@
 
 Simulates a realistic deployment day: export operational data, bulk-load
 the warehouse, run analyst queries (label-based, SQL, group-by), stream
-live updates, take a snapshot, replay a frozen workload against the
+live updates, take a snapshot, replay the live workload against the
 snapshot, and verify everything against the sequential-scan oracle.
 """
 
@@ -20,8 +20,7 @@ from repro.core.bulkload import bulk_load
 from repro.persist import load_warehouse, save_warehouse
 from repro.query import execute as sql
 from repro.tpcd.flatfile import read_flatfile, write_flatfile
-from repro.workload.queries import QueryGenerator
-from repro.workload.trace import read_trace, replay, write_trace
+from repro.workload.queries import QueryGenerator, RangeQuery
 
 
 @pytest.fixture(scope="module")
@@ -94,22 +93,24 @@ def test_live_updates_stay_consistent(deployment):
         )
 
 
-def test_snapshot_and_trace_replay(deployment):
+def test_snapshot_replays_live_workload(deployment):
     root, schema, warehouse, _oracle, _records = deployment
     snapshot_path = root / "snapshot.json"
-    trace_path = root / "workload.json"
     workload = list(QueryGenerator(schema, 0.15, seed=3).queries(12))
 
     save_warehouse(warehouse, snapshot_path)
-    write_trace(trace_path, workload)
 
     resumed = load_warehouse(snapshot_path)
     resumed.index.check_invariants()
-    restored = read_trace(trace_path, resumed.schema)
-    live = replay(warehouse, workload)
-    replayed = replay(resumed, restored)
-    for a, b in zip(live, replayed):
-        assert math.isclose(a, b, abs_tol=1e-6)
+    # The snapshot restores IDs verbatim, so the live workload's MDSs
+    # are valid queries on the resumed schema.
+    for query in workload:
+        restored = RangeQuery(resumed.schema, query.mds.copy())
+        assert math.isclose(
+            warehouse.execute(query),
+            resumed.execute(restored),
+            abs_tol=1e-6,
+        )
 
     # The snapshot is itself live: it absorbs an update independently.
     generator = TPCDGenerator(resumed.schema, seed=4, scale_records=10)

@@ -10,7 +10,6 @@ from repro.aggview.advisor import (
     candidate_levels,
     covers,
     estimate_cells,
-    recommend_view,
     recommend_views,
 )
 from repro.aggview.hybrid import HybridWarehouse
@@ -63,62 +62,21 @@ class TestCandidates:
         assert estimate_cells(schema, tops) == 1
 
 
-class TestRecommendView:
-    def test_respects_budget(self, tpcd_setup):
-        schema, _warehouse, workload, records = tpcd_setup
-        pick = recommend_view(schema, workload, cell_budget=500,
-                              records=records)
-        assert isinstance(pick, ViewRecommendation)
-        assert pick.estimated_cells <= 500
-
-    def test_bigger_budget_never_hurts_benefit(self, tpcd_setup):
-        schema, _warehouse, workload, records = tpcd_setup
-        small = recommend_view(schema, workload, cell_budget=100,
-                               records=records)
-        large = recommend_view(schema, workload, cell_budget=100000,
-                               records=records)
-        assert large.benefit >= small.benefit
-
-    def test_never_recommends_the_raw_cube(self, tpcd_setup):
-        """The leaf-level view is just a table copy; benefit scoring must
-        refuse it even when it fits the budget."""
-        schema, _warehouse, workload, records = tpcd_setup
-        pick = recommend_view(schema, workload, cell_budget=10**9,
-                              records=records)
-        assert pick.levels != (0, 0, 0, 0)
-        assert pick.benefit > 0
-
-    def test_coverage_is_real(self, tpcd_setup):
-        schema, _warehouse, workload, records = tpcd_setup
-        pick = recommend_view(schema, workload, cell_budget=10000,
-                              records=records)
-        covered = sum(
-            1 for q in workload if covers(pick.levels, q.mds)
-        )
-        assert math.isclose(pick.coverage, covered / len(workload))
-
-    def test_empty_workload_rejected(self, tpcd_setup):
-        schema, _warehouse, _workload, _records = tpcd_setup
-        with pytest.raises(QueryError):
-            recommend_view(schema, [], cell_budget=100)
-
-    def test_impossible_budget_rejected(self, tpcd_setup):
-        schema, _warehouse, workload, records = tpcd_setup
-        with pytest.raises(QueryError):
-            recommend_view(schema, workload, cell_budget=0)
-
-
 class TestRecommendViews:
     def test_greedy_extends_coverage(self, tpcd_setup):
         schema, _warehouse, workload, records = tpcd_setup
         picks = recommend_views(schema, workload, cell_budget=2000, k=3,
                                 records=records)
         assert 1 <= len(picks) <= 3
-        # Combined coverage of k views >= best single view's coverage.
-        single = recommend_view(schema, workload, cell_budget=2000,
-                                records=records)
-        combined = sum(p.coverage for p in picks)
-        assert combined >= single.coverage - 1e-9
+        # The first pick is the best single view under the budget: the
+        # largest covered-queries x (base cost - cells) over the lattice.
+        best = 0
+        for levels in candidate_levels(schema):
+            cells = estimate_cells(schema, levels, records=records)
+            if cells <= 2000:
+                covered = sum(1 for q in workload if covers(levels, q.mds))
+                best = max(best, covered * max(0, len(records) - cells))
+        assert picks[0].benefit == best
         # Marginal benefits are non-increasing (greedy property).
         benefits = [p.benefit for p in picks]
         assert benefits == sorted(benefits, reverse=True)
@@ -130,6 +88,54 @@ class TestRecommendViews:
         # The all-ALL..finest lattice covers everything answerable; greedy
         # must stop well before 50 views.
         assert len(picks) < 50
+
+    def test_respects_budget(self, tpcd_setup):
+        schema, _warehouse, workload, records = tpcd_setup
+        picks = recommend_views(schema, workload, cell_budget=2000, k=3,
+                                records=records)
+        assert picks
+        for pick in picks:
+            assert isinstance(pick, ViewRecommendation)
+            assert pick.estimated_cells <= 2000
+
+    def test_bigger_budget_never_hurts_benefit(self, tpcd_setup):
+        schema, _warehouse, workload, records = tpcd_setup
+
+        def first_benefit(budget):
+            picks = recommend_views(schema, workload, cell_budget=budget,
+                                    k=1, records=records)
+            return picks[0].benefit if picks else 0
+
+        assert first_benefit(100000) >= first_benefit(100)
+
+    def test_never_recommends_the_raw_cube(self, tpcd_setup):
+        """The leaf-level view is just a table copy; benefit scoring must
+        refuse it even when it fits the budget."""
+        schema, _warehouse, workload, records = tpcd_setup
+        picks = recommend_views(schema, workload, cell_budget=10**9, k=50,
+                                records=records)
+        assert picks
+        for pick in picks:
+            assert pick.levels != (0, 0, 0, 0)
+            assert pick.benefit > 0
+
+    def test_coverage_is_real(self, tpcd_setup):
+        schema, _warehouse, workload, records = tpcd_setup
+        pick = recommend_views(schema, workload, cell_budget=10000, k=1,
+                               records=records)[0]
+        covered = sum(
+            1 for q in workload if covers(pick.levels, q.mds)
+        )
+        assert math.isclose(pick.coverage, covered / len(workload))
+
+    def test_empty_workload_rejected(self, tpcd_setup):
+        schema, _warehouse, _workload, _records = tpcd_setup
+        with pytest.raises(QueryError):
+            recommend_views(schema, [], cell_budget=100, k=1)
+
+    def test_impossible_budget_picks_nothing(self, tpcd_setup):
+        schema, _warehouse, workload, _records = tpcd_setup
+        assert recommend_views(schema, workload, cell_budget=0, k=1) == []
 
 
 class TestHybridWarehouse:

@@ -19,6 +19,18 @@ finite_floats = st.floats(
 )
 
 
+def _summary_of(value):
+    summary = MeasureSummary()
+    summary.add_value(value)
+    return summary
+
+
+def _vector_of(record):
+    vector = AggregateVector(len(record.measures))
+    vector.add_record(record)
+    return vector
+
+
 class TestMeasureSummary:
     def test_empty(self):
         summary = MeasureSummary()
@@ -33,7 +45,7 @@ class TestMeasureSummary:
         assert summary.aggregate("max") is None
 
     def test_single_value(self):
-        summary = MeasureSummary.of_value(5.0)
+        summary = _summary_of(5.0)
         assert summary.aggregate("sum") == 5.0
         assert summary.aggregate("count") == 1
         assert summary.aggregate("avg") == 5.0
@@ -50,8 +62,8 @@ class TestMeasureSummary:
         assert summary.aggregate("avg") == 3.0
 
     def test_add_summary_merges(self):
-        a = MeasureSummary.of_value(2.0)
-        b = MeasureSummary.of_value(10.0)
+        a = _summary_of(2.0)
+        b = _summary_of(10.0)
         a.add_summary(b)
         assert a.aggregate("count") == 2
         assert a.aggregate("max") == 10.0
@@ -72,7 +84,7 @@ class TestMeasureSummary:
         assert summary.subtract_value(9.0)
 
     def test_subtract_to_empty_resets(self):
-        summary = MeasureSummary.of_value(4.0)
+        summary = _summary_of(4.0)
         stale = summary.subtract_value(4.0)
         assert not stale
         assert summary.is_empty()
@@ -83,14 +95,14 @@ class TestMeasureSummary:
             MeasureSummary().aggregate("median")
 
     def test_copy_is_independent(self):
-        a = MeasureSummary.of_value(1.0)
+        a = _summary_of(1.0)
         b = a.copy()
         b.add_value(100.0)
         assert a.aggregate("count") == 1
 
     def test_equality(self):
-        a = MeasureSummary.of_value(2.0)
-        b = MeasureSummary.of_value(2.0)
+        a = _summary_of(2.0)
+        b = _summary_of(2.0)
         assert a == b
         b.add_value(1.0)
         assert a != b
@@ -129,19 +141,12 @@ class TestMeasureSummary:
 
 
 class TestAggregateVector:
-    def test_of_record(self):
-        schema = build_toy_schema()
-        record = toy_record(schema, "DE", "Munich", "red", 12.0)
-        vector = AggregateVector.of_record(record)
-        assert vector.count == 1
-        assert vector.aggregate("sum") == 12.0
-
     def test_add_vector(self):
         schema = build_toy_schema()
-        a = AggregateVector.of_record(
+        a = _vector_of(
             toy_record(schema, "DE", "Munich", "red", 3.0)
         )
-        b = AggregateVector.of_record(
+        b = _vector_of(
             toy_record(schema, "DE", "Berlin", "red", 4.0)
         )
         a.add_vector(b)
@@ -161,7 +166,7 @@ class TestAggregateVector:
 
     def test_clear(self):
         schema = build_toy_schema()
-        vector = AggregateVector.of_record(
+        vector = _vector_of(
             toy_record(schema, "DE", "Munich", "red", 3.0)
         )
         vector.clear()
@@ -170,7 +175,7 @@ class TestAggregateVector:
 
     def test_copy_independent(self):
         schema = build_toy_schema()
-        vector = AggregateVector.of_record(
+        vector = _vector_of(
             toy_record(schema, "DE", "Munich", "red", 3.0)
         )
         clone = vector.copy()
@@ -181,7 +186,7 @@ class TestAggregateVector:
     def test_equality(self):
         schema = build_toy_schema()
         record = toy_record(schema, "DE", "Munich", "red", 3.0)
-        assert AggregateVector.of_record(record) == AggregateVector.of_record(
+        assert _vector_of(record) == _vector_of(
             record
         )
 
@@ -203,12 +208,12 @@ class TestStreamingAggregator:
         schema = build_toy_schema()
         aggregator = StreamingAggregator("max")
         aggregator.add_vector(
-            AggregateVector.of_record(
+            _vector_of(
                 toy_record(schema, "DE", "Munich", "red", 3.0)
             )
         )
         aggregator.add_vector(
-            AggregateVector.of_record(
+            _vector_of(
                 toy_record(schema, "FR", "Paris", "red", 11.0)
             )
         )
@@ -219,7 +224,7 @@ class TestStreamingAggregator:
         aggregator = StreamingAggregator("count")
         aggregator.add_record(toy_record(schema, "DE", "Munich", "red", 3.0))
         aggregator.add_vector(
-            AggregateVector.of_record(
+            _vector_of(
                 toy_record(schema, "FR", "Paris", "red", 4.0)
             )
         )

@@ -43,11 +43,12 @@ class TestConstruction:
             view.range_query(query.mds)
 
     def test_cells_grouped_at_granularity(self, toy_view):
-        _schema, _records, view = toy_view
+        schema, _records, view = toy_view
         # Countries x colors actually occurring: DE(red, blue), FR(blue,
         # green), US(red, green) = 6 cells.
-        assert view.n_cells == 6
-        assert view.n_source_records == len(TOY_ROWS)
+        assert len(view._cells) == 6
+        everything = query_from_labels(schema, {})
+        assert view.range_query(everything.mds, op="count") == len(TOY_ROWS)
 
 
 class TestQueries:
@@ -153,14 +154,15 @@ class TestIncrementalMaintenance:
         view.apply_insert(extra)
         query = query_from_labels(schema, {"Geo": ("Country", ["DE"])})
         assert view.range_query(query.mds) == 42.0
-        assert view.n_source_records == len(records) + 1
+        everything = query_from_labels(schema, {})
+        assert view.range_query(everything.mds, op="count") == len(records) + 1
 
     def test_apply_insert_creates_new_cell(self, toy_view):
         schema, _records, view = toy_view
         extra = toy_record(schema, "JP", "Tokyo", "red", 3.0)
-        cells_before = view.n_cells
+        cells_before = len(view._cells)
         view.apply_insert(extra)
-        assert view.n_cells == cells_before + 1
+        assert len(view._cells) == cells_before + 1
         query = query_from_labels(schema, {"Geo": ("Country", ["JP"])})
         assert view.range_query(query.mds) == 3.0
 
@@ -194,10 +196,10 @@ class TestIncrementalMaintenance:
         # records[4] (FR, Lyon, green, 3.0) is alone in its (FR, green)
         # cell: removing it empties and drops the cell, and the view
         # stays exact (no surviving extremum to invalidate).
-        cells_before = view.n_cells
+        cells_before = len(view._cells)
         fresh = view.apply_delete(records[4])
         assert fresh
-        assert view.n_cells == cells_before - 1
+        assert len(view._cells) == cells_before - 1
         assert not view.is_stale
 
     def test_apply_delete_unknown_cell_rejected(self, toy_view):

@@ -42,7 +42,7 @@ class TestEmptyTree:
         tree = DCTree(toy_schema)
         everything = MDS.all_mds(tree.hierarchies)
         assert tree.range_query(everything) == 0.0
-        assert tree.range_count(everything) == 0
+        assert tree.range_query(everything, op="count") == 0
 
 
 class TestInsert:
@@ -192,7 +192,7 @@ class TestRangeQuery:
     def test_count(self):
         schema, tree, _records = build_toy_tree()
         query = query_from_labels(schema, {"Geo": ("Country", ["FR"])})
-        assert tree.range_count(query.mds) == 2
+        assert tree.range_query(query.mds, op="count") == 2
 
     def test_avg_min_max(self):
         schema, tree, _records = build_toy_tree()
@@ -292,7 +292,7 @@ class TestDelete:
             tree.delete(record)
         assert len(tree) == 0
         query = query_from_labels(schema, {})
-        assert tree.range_count(query.mds) == 0
+        assert tree.range_query(query.mds, op="count") == 0
 
     def test_delete_maintains_min_max(self):
         schema, tree, records = build_toy_tree()
@@ -308,7 +308,7 @@ class TestDelete:
             if schema.hierarchy(0).label(record.value_at_level(0, 1)) == "US":
                 tree.delete(record)
         query = query_from_labels(schema, {"Geo": ("Country", ["US"])})
-        assert tree.range_count(query.mds) == 0
+        assert tree.range_query(query.mds, op="count") == 0
         tree.check_invariants()
 
     def test_interleaved_insert_delete_invariants(self, toy_schema):
@@ -423,7 +423,7 @@ def test_tree_queries_agree_with_naive_filter(rows, seed):
             tree.range_query(query.mds), expected, abs_tol=1e-6
         )
         expected_count = sum(1 for r in records if query.matches(r))
-        assert tree.range_count(query.mds) == expected_count
+        assert tree.range_query(query.mds, op="count") == expected_count
 
 
 @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -445,7 +445,7 @@ def test_tree_survives_random_delete_mix(rows, delete_every):
             tree.delete(live.pop(0))
     tree.check_invariants()
     query = query_from_labels(schema, {})
-    assert tree.range_count(query.mds) == len(live)
+    assert tree.range_query(query.mds, op="count") == len(live)
     assert math.isclose(
         tree.range_query(query.mds),
         sum(r.measures[0] for r in live),

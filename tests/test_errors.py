@@ -32,11 +32,6 @@ class TestHierarchy:
         assert issubclass(StaleViewError, errors.StorageError)
         assert issubclass(UnanswerableQueryError, errors.QueryError)
 
-    def test_offline_error_fits_the_hierarchy(self):
-        from repro.maintenance import WarehouseOfflineError
-
-        assert issubclass(WarehouseOfflineError, errors.ReproError)
-
     def test_one_except_catches_all(self):
         from repro import Warehouse
         from tests.conftest import build_toy_schema

@@ -33,7 +33,7 @@ class TestRangeSummary:
         query = query_from_labels(schema, {"Geo": ("Country", ["DE"])})
         summary = tree.range_summary(query.mds)
         assert summary.aggregate("sum") == tree.range_query(query.mds)
-        assert summary.aggregate("count") == tree.range_count(query.mds)
+        assert summary.aggregate("count") == tree.range_query(query.mds, op="count")
         assert summary.aggregate("min") == tree.range_query(
             query.mds, op="min"
         )
@@ -76,7 +76,7 @@ class TestEstimateCount:
         schema, tree = tpcd_tree
         ratios = []
         for query in QueryGenerator(schema, 0.25, seed=3).queries(30):
-            exact = tree.range_count(query.mds)
+            exact = tree.range_query(query.mds, op="count")
             estimate = tree.estimate_count(query.mds, max_depth=1)
             if exact >= 3:
                 ratios.append(estimate / exact)
@@ -88,14 +88,14 @@ class TestEstimateCount:
         schema, tree = tpcd_tree
         queries = [
             q for q in QueryGenerator(schema, 0.25, seed=5).queries(20)
-            if tree.range_count(q.mds) >= 3
+            if tree.range_query(q.mds, op="count") >= 3
         ]
         assert queries
 
         def total_error(depth):
             error = 0.0
             for query in queries:
-                exact = tree.range_count(query.mds)
+                exact = tree.range_query(query.mds, op="count")
                 estimate = tree.estimate_count(query.mds, max_depth=depth)
                 error += abs(estimate - exact) / exact
             return error
@@ -109,7 +109,7 @@ class TestEstimateCount:
         tree.estimate_count(query.mds, max_depth=0)
         estimate_cost = tree.tracker.snapshot().node_accesses
         tree.tracker.reset(clear_buffer=True)
-        tree.range_count(query.mds)
+        tree.range_query(query.mds, op="count")
         exact_cost = tree.tracker.snapshot().node_accesses
         assert estimate_cost <= exact_cost
 

@@ -75,18 +75,6 @@ class TestInsertPath:
         with pytest.raises(HierarchyError):
             customer.insert_path(("Europe", "Germany"))
 
-    def test_lookup_path_finds_inserted(self, customer):
-        inserted = customer.insert_path(("Europe", "Germany", "C1"))
-        assert customer.lookup_path(("Europe", "Germany", "C1")) == inserted
-
-    def test_lookup_path_missing_returns_none(self, customer):
-        assert customer.lookup_path(("Europe", "Germany", "C1")) is None
-
-    def test_lookup_never_creates(self, customer):
-        customer.lookup_path(("Europe", "Germany", "C1"))
-        assert len(customer) == 1
-
-
 class TestNavigation:
     @pytest.fixture(autouse=True)
     def _populate(self, customer):
@@ -122,22 +110,28 @@ class TestNavigation:
         with pytest.raises(HierarchyError):
             self.h.ancestor(self.de[0], 0)
 
+    def _below_or_equal(self, a, b):
+        """Definition 1's ``a <= b``, realized by ``ancestor``."""
+        level_b = self.h.level_of(b)
+        return (self.h.level_of(a) <= level_b
+                and self.h.ancestor(a, level_b) == b)
+
     def test_partial_ordering_germany_below_europe(self):
         # "Germany <= Europe" from the paper's example.
-        assert self.h.is_descendant_or_self(self.de[1], self.de[0])
+        assert self._below_or_equal(self.de[1], self.de[0])
 
     def test_partial_ordering_reflexive(self):
-        assert self.h.is_descendant_or_self(self.de[1], self.de[1])
+        assert self._below_or_equal(self.de[1], self.de[1])
 
     def test_partial_ordering_everything_below_all(self):
         for attr_id in (self.de[0], self.de[1], self.de[2]):
-            assert self.h.is_descendant_or_self(attr_id, self.h.all_id)
+            assert self._below_or_equal(attr_id, self.h.all_id)
 
     def test_partial_ordering_not_across_branches(self):
-        assert not self.h.is_descendant_or_self(self.us[1], self.de[0])
+        assert not self._below_or_equal(self.us[1], self.de[0])
 
     def test_partial_ordering_never_downwards(self):
-        assert not self.h.is_descendant_or_self(self.de[0], self.de[1])
+        assert not self._below_or_equal(self.de[0], self.de[1])
 
     def test_descendants_at_level_of_all(self):
         leaves = self.h.descendants_at_level(self.h.all_id, 0)
@@ -163,7 +157,7 @@ class TestNavigation:
         assert len(after) == len(before) + 1
 
     def test_count_descendants(self):
-        assert self.h.count_descendants_at_level(self.h.all_id, 1) == 3
+        assert len(self.h.descendants_at_level(self.h.all_id, 1)) == 3
 
     def test_values_at_level_in_allocation_order(self):
         nations = self.h.values_at_level(1)
@@ -172,12 +166,6 @@ class TestNavigation:
     def test_n_values_at_level(self):
         assert self.h.n_values_at_level(2) == 2
         assert self.h.n_values_at_level(0) == 4
-
-    def test_path_labels(self):
-        assert self.h.path_labels(self.de[2]) == ("Europe", "Germany", "C1")
-
-    def test_path_labels_of_all_is_empty(self):
-        assert self.h.path_labels(self.h.all_id) == ()
 
     def test_contains(self):
         assert self.de[2] in self.h

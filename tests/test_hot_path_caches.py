@@ -126,7 +126,7 @@ class TestAncestorTables:
     def test_ancestors_of_spans_to_all(self):
         schema, records = populate([("EU", "DE", 1, "red")])
         hierarchy = schema.dimensions[0].hierarchy
-        leaf = records[0].leaf_value(0)
+        leaf = records[0].paths[0][-1]
         ancestors = hierarchy.ancestors_of(leaf)
         assert ancestors[0] == leaf
         assert ancestors[-1] == hierarchy.all_id
@@ -200,12 +200,12 @@ class TestAdaptationMemo:
         assert mds.version > version
 
         version = mds.version
-        mds.update_values(1, {records[1].leaf_value(1)})
+        mds.update_values(1, {records[1].paths[1][-1]})
         assert mds.version > version
-        assert records[1].leaf_value(1) in mds.value_set(1)
+        assert records[1].paths[1][-1] in mds.value_set(1)
 
         version = mds.version
-        mds.refine_dimension(0, {records[0].leaf_value(0)}, 0)
+        mds.refine_dimension(0, {records[0].paths[0][-1]}, 0)
         assert mds.version > version
 
         version = mds.version

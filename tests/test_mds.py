@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.core import mds as mds_mod
 from repro.core.mds import MDS
 from repro.errors import MdsError
-from tests.conftest import build_toy_schema, toy_record
+from tests.conftest import adapted, build_toy_schema, toy_record
 
 COUNTRIES = ("DE", "FR", "US", "JP")
 CITIES = {
@@ -55,8 +55,8 @@ class TestConstruction:
         schema, records = populated
         record = records[0]
         mds = MDS.for_record(record, (0, 0), hset(schema))
-        assert mds.value_set(0) == {record.leaf_value(0)}
-        assert mds.value_set(1) == {record.leaf_value(1)}
+        assert mds.value_set(0) == {record.paths[0][-1]}
+        assert mds.value_set(1) == {record.paths[1][-1]}
 
     def test_for_record_at_top_levels_uses_all(self, populated):
         schema, records = populated
@@ -148,14 +148,6 @@ class TestAdaptation:
         with pytest.raises(MdsError):
             mds.adapted_set(0, 0, hierarchies[0])
 
-    def test_adapted_to_produces_new_levels(self, populated):
-        schema, records = populated
-        hierarchies = hset(schema)
-        mds = MDS.for_record(records[0], (0, 0), hierarchies)
-        lifted = mds.adapted_to((2, 1), hierarchies)
-        assert lifted.levels == (2, 1)
-        assert lifted.value_set(0) == {hierarchies[0].all_id}
-
     def test_adaptation_merges_values(self, populated):
         schema, records = populated
         hierarchies = hset(schema)
@@ -211,7 +203,7 @@ class TestDefinition4Operations:
 
     def test_overlap_adapts_levels(self, pair):
         schema, hierarchies, de, fr = pair
-        country_level = de.adapted_to((1, 0), hierarchies)
+        country_level = adapted(de, (1, 0), hierarchies)
         # At country level DE vs FR city-level MDS: adaptation lifts FR to
         # country level; countries differ => no overlap.
         assert mds_mod.overlap(country_level, fr, hierarchies) == 0
@@ -223,7 +215,7 @@ class TestDefinition4Operations:
         munich.add_record(records[0], hierarchies)
         berlin = MDS.empty((0, 0))
         berlin.add_record(records[3], hierarchies)
-        de_level = munich.adapted_to((1, 0), hierarchies)
+        de_level = adapted(munich, (1, 0), hierarchies)
         # Munich-at-country-level vs Berlin overlaps (both DE) even though
         # the city sets are disjoint - the documented may-overlap effect.
         assert mds_mod.overlaps(de_level, berlin, hierarchies)

@@ -1,19 +1,15 @@
 """Unit tests for DataRecord."""
 
 from repro.cube import ids
+from repro.cube.record import DataRecord
 from tests.conftest import build_toy_schema, toy_record
 
 
 class TestValueAccess:
-    def test_leaf_value_is_last_path_entry(self):
-        schema = build_toy_schema()
-        record = toy_record(schema, "DE", "Munich", "red", 1.0)
-        assert record.leaf_value(0) == record.paths[0][-1]
-
     def test_value_at_level_zero_is_leaf(self):
         schema = build_toy_schema()
         record = toy_record(schema, "DE", "Munich", "red", 1.0)
-        assert record.value_at_level(0, 0) == record.leaf_value(0)
+        assert record.value_at_level(0, 0) == record.paths[0][-1]
 
     def test_value_at_level_walks_up(self):
         schema = build_toy_schema()
@@ -27,7 +23,7 @@ class TestValueAccess:
         record = toy_record(schema, "FR", "Paris", "blue", 1.0)
         hierarchy = schema.hierarchy(0)
         assert record.value_at_level(0, 1) == hierarchy.ancestor(
-            record.leaf_value(0), 1
+            record.paths[0][-1], 1
         )
 
 
@@ -47,7 +43,7 @@ class TestValueSemantics:
     def test_equal_records(self):
         schema = build_toy_schema()
         a = toy_record(schema, "DE", "Munich", "red", 1.0)
-        b = schema.record_from_ids(a.paths, a.measures)
+        b = DataRecord(a.paths, a.measures)
         assert a == b
         assert hash(a) == hash(b)
 

@@ -163,15 +163,14 @@ class TestInvalidation:
         assert tree.range_query(mds) == 40.0
 
     def test_maintenance_window_invalidates(self):
-        warehouse = BatchWarehouse(build_toy_schema())
+        schema = build_toy_schema()
+        warehouse = BatchWarehouse(schema)
         for row in TOY_ROWS:
-            warehouse.submit_insert(
-                ((row[0], row[1]), (row[2],)), (row[3],)
-            )
+            warehouse.submit_insert_record(toy_record(schema, *row))
         warehouse.run_maintenance_window()
         where = {"Geo": ("Country", ["DE"])}
         assert warehouse.query(where=where) == 35.0
-        warehouse.submit_insert((("DE", "Bonn"), ("red",)), (8.0,))
+        warehouse.submit_insert_record(toy_record(schema, "DE", "Bonn", "red", 8.0))
         warehouse.run_maintenance_window()
         assert warehouse.query(where=where) == 43.0
 

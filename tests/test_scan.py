@@ -56,7 +56,7 @@ class TestQueries:
     def test_count_and_records(self):
         schema, table, _records = build_table()
         query = query_from_labels(schema, {"Color": ("Color", ["green"])})
-        assert table.range_count(query.mds) == 2
+        assert table.range_query(query.mds, op="count") == 2
         assert len(table.range_records(query.mds)) == 2
 
     def test_avg(self):

@@ -138,17 +138,6 @@ class TestRecordConstruction:
         record = toy_record(schema, "DE", "Munich", "red", 3)
         assert isinstance(record.measures[0], float)
 
-    def test_record_from_ids_roundtrip(self):
-        schema = build_toy_schema()
-        original = toy_record(schema, "DE", "Munich", "red", 9.0)
-        rebuilt = schema.record_from_ids(original.paths, original.measures)
-        assert rebuilt == original
-
-    def test_record_from_ids_wrong_path_length(self):
-        schema = build_toy_schema()
-        with pytest.raises(SchemaError):
-            schema.record_from_ids(((1,), (2,)), (1.0,))
-
     def test_describe_renders_labels(self):
         schema = build_toy_schema()
         record = toy_record(schema, "DE", "Munich", "red", 10.0)

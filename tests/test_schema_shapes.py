@@ -196,4 +196,4 @@ class TestManyDimensions:
         tree.check_invariants()
         for query in QueryGenerator(schema, 0.5, seed=2).queries(5):
             expected = sum(1 for r in records if query.matches(r))
-            assert tree.range_count(query.mds) == expected
+            assert tree.range_query(query.mds, op="count") == expected

@@ -12,7 +12,7 @@ from repro.core.debug import structure_digest
 from repro.core.mds import MDS
 from repro.core.tree import DCTree
 from repro.errors import MdsError
-from tests.conftest import build_toy_schema, toy_record
+from tests.conftest import adapted, build_toy_schema, toy_record
 
 
 def hset(schema):
@@ -79,7 +79,7 @@ class TestHierarchySplit:
 
     def test_split_by_country_separates_countries(self, city_mdss):
         schema, hierarchies, _records, mdss = city_mdss
-        lifted = [m.adapted_to((1, 0), hierarchies) for m in mdss]
+        lifted = [adapted(m, (1, 0), hierarchies) for m in mdss]
         (group_a, group_b), _cost = split_mod.hierarchy_split(
             lifted, 0, hierarchies, min_group=2
         )
@@ -166,13 +166,13 @@ class TestAdaptationAttempts:
 class TestPlanNodeSplit:
     def _plan(self, mdss, node_levels, hierarchies, config=None):
         node_mds = split_mod.compute_group_mds(
-            [m.adapted_to(node_levels, hierarchies) for m in mdss],
+            [adapted(m, node_levels, hierarchies) for m in mdss],
             node_levels,
             hierarchies,
         )
 
         def adapt(levels):
-            return [m.adapted_to(levels, hierarchies) for m in mdss]
+            return [adapted(m, levels, hierarchies) for m in mdss]
 
         return split_mod.plan_node_split(
             node_mds,
@@ -193,13 +193,13 @@ class TestPlanNodeSplit:
     def test_plan_separates_in_split_dimension(self, city_mdss):
         _schema, hierarchies, _records, mdss = city_mdss
         plan = self._plan(mdss, (1, 0), hierarchies)
-        adapted = [m.adapted_to(plan.levels, hierarchies) for m in mdss]
+        lifted = [adapted(m, plan.levels, hierarchies) for m in mdss]
         set_a = set()
         for i in plan.groups[0]:
-            set_a.update(adapted[i].value_set(plan.split_dimension))
+            set_a.update(lifted[i].value_set(plan.split_dimension))
         set_b = set()
         for i in plan.groups[1]:
-            set_b.update(adapted[i].value_set(plan.split_dimension))
+            set_b.update(lifted[i].value_set(plan.split_dimension))
         assert not set_a & set_b
 
     def test_singleton_node_mds_descends_level(self, city_mdss):
@@ -262,7 +262,7 @@ class TestSplitInputErrors:
     def test_mixed_levels_raise(self, split_call, city_mdss):
         _schema, hierarchies, _records, mdss = city_mdss
         mixed = list(mdss)
-        mixed[5] = mdss[5].adapted_to((1, 0), hierarchies)
+        mixed[5] = adapted(mdss[5], (1, 0), hierarchies)
         with pytest.raises(MdsError, match="share their levels"):
             split_call(mixed)
 

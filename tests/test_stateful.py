@@ -126,7 +126,7 @@ class DCTreeMachine(RuleBasedStateMachine):
         assert math.isclose(
             self.tree.range_query(query.mds), expected_sum, abs_tol=1e-6
         )
-        assert self.tree.range_count(query.mds) == expected_count
+        assert self.tree.range_query(query.mds, op="count") == expected_count
         matching = [r.measures[0] for r in self.model if query.matches(r)]
         expected_max = max(matching) if matching else None
         assert self.tree.range_query(query.mds, op="max") == expected_max

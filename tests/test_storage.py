@@ -43,8 +43,7 @@ class TestBufferPool:
         pool = BufferPool(0)
         for i in range(1000):
             pool.access(i)
-        assert pool.resident_pages == 1000
-        assert pool.access(0)
+        assert all(pool.access(i) for i in range(1000))
 
     def test_access_run_counts_all_blocks(self):
         pool = BufferPool(16)
@@ -66,7 +65,7 @@ class TestBufferPool:
         pool.access("a")
         pool.clear()
         assert pool.misses == 1
-        assert pool.resident_pages == 0
+        assert not pool.access("a")
 
     def test_reset_counters(self):
         pool = BufferPool(8)

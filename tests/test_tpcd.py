@@ -158,7 +158,7 @@ class TestSkew:
 
         def top_share(generator):
             counts = Counter(
-                record.leaf_value(0) for record in generator.records(2000)
+                record.paths[0][-1] for record in generator.records(2000)
             )
             total = sum(counts.values())
             top = sorted(counts.values(), reverse=True)[:10]

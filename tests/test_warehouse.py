@@ -6,13 +6,17 @@ import pytest
 
 from repro import (
     DCTreeConfig,
+    TPCDGenerator,
     Warehouse,
     XTreeConfig,
     make_tpcd_schema,
 )
-from repro.errors import QueryError, SchemaError
+from repro.core.bulkload import bulk_load
+from repro.core.debug import structure_digest
+from repro.cube.record import DataRecord
+from repro.errors import QueryError, SchemaError, TreeError
 from repro.workload.queries import QueryGenerator, query_from_labels
-from tests.conftest import TOY_ROWS, build_toy_schema
+from tests.conftest import TOY_ROWS, build_toy_schema, toy_record
 
 
 def populate(warehouse):
@@ -194,3 +198,79 @@ class TestSummaryAndEstimate:
         estimate = warehouse.estimate(where={"Geo": ("Country", ["DE"])})
         assert estimate > 0
         assert estimate <= len(warehouse)
+
+
+def _malformed_records(schema, records):
+    """Records that do not fit ``schema``, each with one defect."""
+    good = records[0]
+    # Same leaf chain except the dimension-0 leaf, taken from a record
+    # under a different parent: every ID exists, the chain is wrong.
+    stranger = next(r for r in records
+                    if r.paths[0][-2] != good.paths[0][-2])
+    spliced = ((good.paths[0][:-1] + stranger.paths[0][-1:]),) \
+        + good.paths[1:]
+    # Same shape, built by a second schema instance with other data.
+    twin = make_tpcd_schema()
+    twin_records = list(TPCDGenerator(twin, seed=99,
+                                      scale_records=50).records(50))
+    return {
+        "other cube": toy_record(build_toy_schema(), "DE", "Munich",
+                                 "red", 1.0),
+        "twin schema": next(
+            r for r in twin_records
+            if any(_not_a_chain(schema, dim, path)
+                   for dim, path in enumerate(r.paths))),
+        "extra measure": DataRecord(good.paths, (1.0, 2.0)),
+        "short path": DataRecord(
+            (good.paths[0][1:],) + good.paths[1:], good.measures),
+        "spliced path": DataRecord(spliced, good.measures),
+    }
+
+
+def _not_a_chain(schema, dim, path):
+    table = schema.hierarchy(dim)._ancestor_table
+    return table.get(path[-1], ())[:-1] != path[::-1]
+
+
+@pytest.fixture(scope="module", params=["dc-tree", "x-tree", "scan"])
+def loaded_tpcd(request):
+    schema = make_tpcd_schema()
+    warehouse = Warehouse(schema, request.param)
+    records = list(TPCDGenerator(schema, seed=7,
+                                 scale_records=2000).records(2000))
+    warehouse.insert_records(records)
+    return warehouse, records
+
+
+class TestMalformedRecords:
+    """A record that does not fit the schema is refused before any
+    mutation, on every backend and on the batch and bulk-load paths."""
+
+    def _state(self, warehouse):
+        index = warehouse.index
+        return (len(warehouse), getattr(index, "tree_version", None),
+                structure_digest(index))
+
+    @pytest.mark.parametrize("defect", ["other cube", "twin schema",
+                                        "extra measure", "short path",
+                                        "spliced path"])
+    def test_refused_without_change(self, loaded_tpcd, defect):
+        warehouse, records = loaded_tpcd
+        bad = _malformed_records(warehouse.schema, records)[defect]
+        before = self._state(warehouse)
+        with pytest.raises(TreeError):
+            warehouse.insert_record(bad)
+        with pytest.raises(TreeError):
+            warehouse.insert_records([records[1], bad])
+        assert self._state(warehouse) == before
+        if hasattr(warehouse.index, "check_invariants"):
+            warehouse.index.check_invariants()
+
+
+def test_bulk_load_refuses_malformed_records():
+    schema = make_tpcd_schema()
+    records = list(TPCDGenerator(schema, seed=7,
+                                 scale_records=200).records(200))
+    for bad in _malformed_records(schema, records).values():
+        with pytest.raises(TreeError):
+            bulk_load(schema, records + [bad])

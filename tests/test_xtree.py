@@ -96,7 +96,7 @@ class TestRangeQuery:
     def test_count_and_records(self):
         schema, tree, _records = build_toy_xtree()
         query = query_from_labels(schema, {"Color": ("Color", ["red"])})
-        assert tree.range_count(query.to_mbr(), query.predicate()) == 3
+        assert tree.range_query(query.to_mbr(), query.predicate(), op="count") == 3
         found = tree.range_records(query.to_mbr(), query.predicate())
         assert len(found) == 3
 
@@ -141,7 +141,7 @@ class TestDelete:
         for record in records:
             tree.delete(record)
         assert len(tree) == 0
-        assert tree.range_count(full_box(schema)) == 0
+        assert tree.range_query(full_box(schema), op="count") == 0
 
 
 class TestSplitAlgorithms:
