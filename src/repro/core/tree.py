@@ -154,9 +154,9 @@ class _GroupSink:
         return aggregator
 
     def add_records(self, records):
-        dim, level, group = self.dim, self.level, self._group
+        dim, index, group = self.dim, -1 - self.level, self._group
         for record in records:
-            group(record.value_at_level(dim, level)).add_record(record)
+            group(record.paths[dim][index]).add_record(record)
 
     def fold(self, key, vector):
         self._group(key).add_vector(vector)
@@ -1094,16 +1094,12 @@ class DCTree:
     def _leaf_matches(self, node, range_mds):
         """The records of data node ``node`` inside ``range_mds``.
 
-        Charges one CPU unit per record and dimension, then tests each
-        record with :func:`~repro.core.mds.covers_record` — looked up on
-        the module at call time, so a wrapper installed there sees every
-        leaf test.
+        Charges one CPU unit per record and dimension, then filters the
+        records with :func:`~repro.core.mds.covered_records`.
         """
         self.tracker.cpu(len(node.records) * self.schema.n_dimensions)
-        covers_record = mds_mod.covers_record
-        hierarchies = self.hierarchies
-        return [record for record in node.records
-                if covers_record(range_mds, record, hierarchies)]
+        return mds_mod.covered_records(range_mds, node.records,
+                                       self.hierarchies)
 
     def _check_query_mds(self, range_mds):
         if range_mds.n_dimensions != self.schema.n_dimensions:
@@ -1209,8 +1205,16 @@ class DCTree:
         the R-tree), shrunk supernodes give blocks back, and a root
         directory left with a single child is collapsed.  A record that is
         not indexed raises :class:`RecordNotFoundError` without bumping
-        :attr:`tree_version`: nothing changed, so cached answers stay.
+        :attr:`tree_version`: nothing changed, so cached answers stay.  A
+        record the schema refuses cannot be indexed, so it raises the same
+        error before the descent, charging nothing.
         """
+        try:
+            self.schema.check_record(record)
+        except TreeError:
+            raise RecordNotFoundError(
+                "record not found: %r" % (record,)
+            ) from None
         orphans = []
         if not self._delete_from(self._root, record, orphans):
             raise RecordNotFoundError("record not found: %r" % (record,))

@@ -118,11 +118,14 @@ class FlatTable:
                 % (range_mds.n_dimensions, self.schema.n_dimensions)
             )
         n_dims = self.schema.n_dimensions
-        for index, record in enumerate(self._records):
-            self._charge_page(index)
-            self.tracker.cpu(n_dims)
-            if mds_mod.covers_record(range_mds, record, self.hierarchies):
-                yield record
+        per_page = self._records_per_page
+        for start in range(0, len(self._records), per_page):
+            chunk = self._records[start:start + per_page]
+            self.tracker.access_node((self._base_page, start // per_page))
+            self.tracker.cpu(len(chunk) * n_dims)
+            yield from mds_mod.covered_records(
+                range_mds, chunk, self.hierarchies
+            )
 
     def _charge_page(self, record_index):
         if record_index % self._records_per_page == 0:

@@ -1,11 +1,15 @@
 """Unit and property tests for the MDS algebra (Definitions 3 and 4)."""
 
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core import mds as mds_mod
 from repro.core.mds import MDS
+from repro.cube.hierarchy import ConceptHierarchy
+from repro.cube.record import DataRecord
 from repro.errors import MdsError
 from tests.conftest import adapted, build_toy_schema, toy_record
 
@@ -308,6 +312,66 @@ class TestCoversRecord:
         everything = MDS.all_mds(hierarchies)
         for record in records:
             assert mds_mod.covers_record(everything, record, hierarchies)
+
+
+def _binary_hierarchy(depth):
+    """A hierarchy of ``depth`` levels with two children per value."""
+    hierarchy = ConceptHierarchy("d%d" % depth,
+                                 ["L%d" % level for level in range(depth)])
+    for labels in itertools.product("ab", repeat=depth):
+        hierarchy.insert_path(labels)
+    return hierarchy
+
+
+BINARY_HIERARCHIES = {depth: _binary_hierarchy(depth) for depth in range(1, 5)}
+
+
+@st.composite
+def coverage_cases(draw):
+    """A query MDS and records over 1-4 dimensions of depth 1-4.
+
+    Each query dimension sits at any level up to ALL; its value set may
+    be empty, and at ALL it holds ``all_id`` or nothing.
+    """
+    depths = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    hierarchies = tuple(BINARY_HIERARCHIES[depth] for depth in depths)
+    sets, levels = [], []
+    for hierarchy in hierarchies:
+        level = draw(st.integers(0, hierarchy.top_level))
+        if level == hierarchy.top_level:
+            values = {hierarchy.all_id} if draw(st.booleans()) else set()
+        else:
+            values = draw(st.sets(
+                st.sampled_from(hierarchy.values_at_level(level))))
+        sets.append(values)
+        levels.append(level)
+    leaves = st.tuples(*[st.sampled_from(h.values_at_level(0))
+                         for h in hierarchies])
+    records = [
+        DataRecord(tuple(h.ancestors_of(leaf)[-2::-1]
+                         for h, leaf in zip(hierarchies, row)), (float(i),))
+        for i, row in enumerate(draw(st.lists(leaves, max_size=12)))
+    ]
+    return MDS(sets, levels), records, hierarchies
+
+
+class TestCoveredRecords:
+    @given(case=coverage_cases())
+    def test_matches_covers_record(self, case):
+        mds, records, hierarchies = case
+        expected = [r for r in records
+                    if mds_mod.covers_record(mds, r, hierarchies)]
+        got = mds_mod.covered_records(mds, records, hierarchies)
+        assert len(got) == len(expected)
+        assert all(a is b for a, b in zip(got, expected))
+        assert got is not records
+
+    def test_top_level_without_all_id_covers_nothing(self, populated):
+        schema, records = populated
+        hierarchies = hset(schema)
+        mds = MDS.all_mds(hierarchies)
+        mds.clear_dimension(1)
+        assert mds_mod.covered_records(mds, records, hierarchies) == []
 
 
 class TestOperationCost:

@@ -455,15 +455,16 @@ class TestInvariance:
             schema = build_toy_schema()
             tree = DCTree(schema, config=DCTreeConfig(observability=flag))
             rng = random.Random(seed)
-            countries = ("DE", "FR", "US")
             colors = ("red", "blue", "green")
-            records = [
-                toy_record(
-                    schema, rng.choice(countries), "City%d" % (index % 9),
-                    rng.choice(colors), float(rng.randrange(1, 50)),
-                )
+            rows = [
+                (rng.choice(("DE", "FR", "US")), "City%d" % (index % 9),
+                 rng.choice(colors), float(rng.randrange(1, 50)))
                 for index in range(n_records)
             ]
+            records = [toy_record(schema, *row) for row in rows]
+            # A seed may draw no record of some country, and a query
+            # naming an unknown label is refused.
+            countries = sorted({row[0] for row in rows})
             half = n_records // 2
             for record in records[:half]:
                 tree.insert(record)

@@ -13,8 +13,14 @@ from repro import (
 )
 from repro.core.bulkload import bulk_load
 from repro.core.debug import structure_digest
+from repro.cube.ids import MAX_COUNTER, make_id
 from repro.cube.record import DataRecord
-from repro.errors import QueryError, SchemaError, TreeError
+from repro.errors import (
+    QueryError,
+    RecordNotFoundError,
+    SchemaError,
+    TreeError,
+)
 from repro.workload.queries import QueryGenerator, query_from_labels
 from tests.conftest import TOY_ROWS, build_toy_schema, toy_record
 
@@ -265,6 +271,39 @@ class TestMalformedRecords:
         assert self._state(warehouse) == before
         if hasattr(warehouse.index, "check_invariants"):
             warehouse.index.check_invariants()
+
+    @pytest.mark.parametrize("defect", ["too few paths", "short path",
+                                        "unknown leaf"])
+    def test_delete_is_not_found(self, loaded_tpcd, defect):
+        warehouse, records = loaded_tpcd
+        good = records[0]
+        bad = {
+            "too few paths": DataRecord(good.paths[:2], good.measures),
+            "short path": DataRecord(
+                (good.paths[0][1:],) + good.paths[1:], good.measures),
+            "unknown leaf": DataRecord(
+                (good.paths[0][:-1] + (make_id(0, MAX_COUNTER),),)
+                + good.paths[1:], good.measures),
+        }[defect]
+        index = warehouse.index
+        dc_tree = warehouse.backend == "dc-tree"
+        if dc_tree:
+            query = query_from_labels(
+                warehouse.schema, {"Customer": ("Region", ["EUROPE"])})
+            answer = index.range_query(query.mds)
+            cache = index.result_cache.stats()
+            charges = repr(index.tracker.snapshot())
+        before = self._state(warehouse)
+        with pytest.raises(RecordNotFoundError):
+            warehouse.delete(bad)
+        assert self._state(warehouse) == before
+        if dc_tree:
+            assert repr(index.tracker.snapshot()) == charges
+            assert index.range_query(query.mds) == answer  # the repeat hits
+            after = index.result_cache.stats()
+            assert (after.hits, after.misses, after.invalidations) == (
+                cache.hits + 1, cache.misses, cache.invalidations)
+            index.check_invariants()
 
 
 def test_bulk_load_refuses_malformed_records():
